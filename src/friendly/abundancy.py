@@ -13,8 +13,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Union
 
-import numpy as np
-
 from . import sieve
 from .arith import Factorization, factorize, is_prime, sigma
 
@@ -28,10 +26,7 @@ __all__ = [
     "solitary_certificate",
 ]
 
-# Above this bound a friend scan falls back to factoring each value.
-SIEVE_SCAN_LIMIT = 10 ** 8
 _SEGMENT = 1 << 20
-_I64_GUARD = 1 << 62
 
 
 def abundancy_index(f: Union[Factorization, int]) -> Fraction:
@@ -73,32 +68,17 @@ def are_friends(m: int, n: int) -> bool:
 def find_friends(n: int, bound: int, *, segment_size: int = _SEGMENT) -> list[int]:
     """Every m <= bound, m != n, with m's index equal to n's, ascending.
 
-    Up to 10^8 the scan runs on the batched sigma sieve; past that each
-    value is factored individually (slow, but the same contract).
+    Runs on the batched sigma sieve, which is exact up to 2^50 and raises
+    SieveBudgetError past it.
     """
     if n < 1:
         raise ValueError("n must be positive")
     target = abundancy_index(n)
-    num, den = target.numerator, target.denominator
     hits: list[int] = []
-    if bound <= SIEVE_SCAN_LIMIT:
-        for lo in range(1, bound + 1, segment_size):
-            hi = min(lo + segment_size, bound + 1)
-            sig = sieve.sigma_range(lo, hi)
-            hits.extend(_segment_hits(sig, lo, hi, num, den))
-    else:
-        for m in range(1, bound + 1):
-            if sigma(factorize(m)) * den == m * num:
-                hits.append(m)
+    for lo in range(1, bound + 1, segment_size):
+        sig = sieve.sigma_range(lo, min(lo + segment_size, bound + 1))
+        hits.extend(sieve.index_hits(sig, lo, target.numerator, target.denominator))
     return [m for m in hits if m != n]
-
-
-def _segment_hits(sig: np.ndarray, lo: int, hi: int, num: int, den: int) -> list[int]:
-    # den*sigma(m) == num*m, vectorized only while int64 cannot overflow
-    if den * int(sig.max()) < _I64_GUARD and num * (hi - 1) < _I64_GUARD:
-        values = np.arange(lo, hi, dtype=np.int64)
-        return [int(v) for v in values[sig * den == values * num]]
-    return [lo + i for i, s in enumerate(sig.tolist()) if s * den == (lo + i) * num]
 
 
 class SolitaryVerdict(Enum):

@@ -58,7 +58,10 @@ def parse_index(text: str) -> Fraction:
     num, sep, den = text.strip().partition("/")
     if not sep:
         raise ValueError(f"index must be written as P/Q, got {text!r}")
-    return Fraction(int(num), int(den))
+    p, q = int(num), int(den)
+    if q == 0:
+        raise ValueError(f"index denominator must be nonzero, got {text!r}")
+    return Fraction(p, q)
 
 
 def parse_q_factors(text: str) -> Factorization:

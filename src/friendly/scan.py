@@ -49,7 +49,6 @@ __all__ = [
 DEFAULT_SEGMENT_SIZE = 1 << 20
 CHECKPOINT_VERSION = 1
 _U64 = (1 << 64) - 1
-_I64_GUARD = 1 << 62
 
 
 class CheckpointError(Exception):
@@ -103,11 +102,7 @@ def scan_range(lo: int, hi: int, target: Fraction, *, max_elements: int = sieve.
     started = time.perf_counter()
     sig = sieve.sigma_range(lo, hi, max_elements=max_elements)
     num, den = target.numerator, target.denominator
-    if den * int(sig.max()) < _I64_GUARD and num * (hi - 1) < _I64_GUARD:
-        values = np.arange(lo, hi, dtype=np.int64)
-        raw = [int(v) for v in values[sig * den == values * num]]
-    else:
-        raw = [lo + i for i, s in enumerate(sig.tolist()) if s * den == (lo + i) * num]
+    raw = sieve.index_hits(sig, lo, num, den)
     hits = tuple(h for h in raw if sigma(factorize(h)) * den == h * num)
     checksum = int(np.add.reduce(sig.astype(np.uint64), dtype=np.uint64)) & _U64
     elapsed = int((time.perf_counter() - started) * 1000)

@@ -100,6 +100,12 @@ def test_find_friends_examples():
     assert find_friends(30, 200) == [140]
 
 
+def test_find_friends_bound_is_inclusive():
+    assert find_friends(6, 28) == [28]
+    assert find_friends(6, 27) == []
+    assert find_friends(6, 28, segment_size=14) == [28]  # bound ends a segment
+
+
 def test_find_friends_matches_brute_force():
     assert find_friends(6, 1000) == friends_brute(6, 1000)
     assert find_friends(30, 500) == friends_brute(30, 500)

@@ -162,6 +162,15 @@ def test_usage_error_exit_2(run_cli):
     assert run_cli("sigma", "twelve").returncode == 2
 
 
+def test_zero_index_denominator_is_usage_error(run_cli):
+    flag = run_cli("scan", "--bound", "100", "--index", "9/0")
+    env = run_cli("scan", "--bound", "100", env={"FRIENDLY_INDEX": "9/0"})
+    for result in (flag, env):
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "9/0" in result.stderr
+
+
 def test_domain_error_exit_1(run_cli):
     result = run_cli("sigma", "0")
     assert result.returncode == 1

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from friendly.scan import (
     scan_range,
     segment_grid,
 )
-from friendly.sieve import SieveBudgetError, sigma_range
+from friendly.sieve import SieveBudgetError, index_hits, sigma_range
 
 
 def divisor_sum(n):
@@ -63,6 +64,30 @@ def test_sieve_agrees_with_factorization_path():
     for _ in range(1000):
         n = rng.randrange(1, 10 ** 6)
         assert int(values[n - 1]) == sigma(factorize(n))
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (10 ** 12 - 500, 10 ** 12 + 500),
+        (999983 ** 2 - 300, 999983 ** 2 + 300),  # a large prime square inside
+        (33554393 ** 2 - 50, 33554393 ** 2 + 50),  # p^3 past int64: p must stay a Python int
+        ((1 << 50) - 1000, 1 << 50),  # the top of the int64-exact range
+    ],
+)
+def test_sigma_range_matches_factorization_at_height(lo, hi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns when an int64 scalar wraps
+        values = sigma_range(lo, hi)
+    for n in range(lo, hi):
+        assert int(values[n - lo]) == sigma(factorize(n)), n
+
+
+def test_index_hits_overflow_path_agrees_with_vectorized_path():
+    values = sigma_range(1, 10 ** 4)
+    big = 1 << 62  # den * sigma(n) no longer fits int64
+    assert index_hits(values, 1, 2, 1) == [6, 28, 496, 8128]
+    assert index_hits(values, 1, 2 * big, big) == [6, 28, 496, 8128]
 
 
 # --- scan_range -----------------------------------------------------------------
