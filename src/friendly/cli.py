@@ -40,12 +40,22 @@ _DOMAIN_ERRORS = (
 )
 
 
+# Largest base^exp accepted, in bits: about the size of the longest decimal
+# (4300 digits) that int() parses by default.
+_MAX_POWER_BITS = 1 << 14
+
+
 def parse_natural(text: str) -> int:
     """Decimal natural number; underscores and a base^exp form are accepted."""
     raw = text.strip().replace("_", "")
     if "^" in raw:
-        base, _, exp = raw.partition("^")
-        value = int(base) ** int(exp)
+        base_text, _, exp_text = raw.partition("^")
+        base, exp = int(base_text), int(exp_text)
+        if base < 0 or exp < 0:
+            raise ValueError(f"expected a natural number, got {text!r}")
+        if exp * base.bit_length() > _MAX_POWER_BITS:
+            raise ValueError(f"{text!r} is too large: more than {_MAX_POWER_BITS} bits")
+        value = base ** exp
     else:
         value = int(raw)
     if value < 0:
@@ -376,7 +386,15 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``friendly scan ... | head``). Point
+        # stdout at devnull so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 # --- envelope schema --------------------------------------------------------

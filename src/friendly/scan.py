@@ -3,14 +3,18 @@
 A scan covers [1, bound) with disjoint fixed-grid segments. Workers share
 nothing; each segment independently produces a ScanRecord, and records are
 merged by position, so any interleaving of any number of workers yields
-byte-identical final output. Completed records append to a JSON-lines file
-and a single JSON checkpoint tracks progress for resumption.
+byte-identical final output. A resumable scan keeps two files: a checkpoint
+holding only the run's parameters, written once when the run starts, and a
+JSON-lines records file to which each completed segment appends its record.
+The records file is the only account of progress: a resume rescans exactly
+the segments without a whole line in it, including one whose last line a
+crash cut short.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import mmap
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -38,7 +42,6 @@ __all__ = [
     "ScanRecord",
     "checkpoint_load",
     "checkpoint_save",
-    "config_fingerprint",
     "enumerate_structured",
     "read_records",
     "scan",
@@ -47,8 +50,10 @@ __all__ = [
 ]
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _U64 = (1 << 64) - 1
+# What decoding a well-formed JSON value of the wrong shape can raise.
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError)
 
 
 class CheckpointError(Exception):
@@ -144,7 +149,7 @@ def record_to_json(rec: ScanRecord) -> str:
     )
 
 
-def record_from_json(line: str) -> ScanRecord:
+def record_from_json(line: Union[str, bytes]) -> ScanRecord:
     doc = json.loads(line)
     return ScanRecord(
         lo=int(doc["lo"]),
@@ -158,50 +163,54 @@ def record_from_json(line: str) -> ScanRecord:
 
 
 def read_records(path: Union[str, Path]) -> list[ScanRecord]:
-    """Load a JSON-lines results file; a rerun segment keeps its last record."""
+    """Load a JSON-lines records file; a rerun segment keeps its last record.
+
+    A last line without its newline is a write cut short by a crash: it is
+    left out, so its segment counts as not scanned. Any other line that does
+    not decode raises CheckpointCorruptError with the line's byte offset.
+    """
     out: dict[tuple[int, int], ScanRecord] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    offset = 0
+    with open(path, "rb") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = record_from_json(line)
-            out[(rec.lo, rec.hi)] = rec
+            if not line.endswith(b"\n"):
+                break
+            if line.strip():
+                try:
+                    rec = record_from_json(line)
+                except _DECODE_ERRORS as exc:
+                    raise CheckpointCorruptError(
+                        str(path), f"undecodable record ({exc})", offset=offset
+                    ) from exc
+                out[(rec.lo, rec.hi)] = rec
+            offset += len(line)
     return sorted(out.values(), key=lambda r: r.lo)
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Resumable scan state: what is done, what is not, and for which run."""
+    """The parameters of a resumable scan; its progress is the records file."""
 
     version: int
     target_index: Fraction
     bound: int
     segment_size: int
-    frontier: int
-    pending: tuple[tuple[int, int], ...]
-    fingerprint: str
-
-
-def config_fingerprint(target: Fraction, bound: int, segment_size: int) -> str:
-    blob = f"v{CHECKPOINT_VERSION}:{_fraction_str(target)}:{bound}:{segment_size}"
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
 
 
 def checkpoint_save(path: Union[str, Path], cp: Checkpoint) -> None:
-    """Write atomically: a temp file is renamed over the destination."""
+    """Write durably and atomically: a synced temp file replaces the destination."""
     doc = {
         "version": cp.version,
         "target_index": _fraction_str(cp.target_index),
         "bound": str(cp.bound),
         "segment_size": str(cp.segment_size),
-        "frontier": str(cp.frontier),
-        "pending": [[str(lo), str(hi)] for lo, hi in cp.pending],
-        "fingerprint": cp.fingerprint,
     }
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=1))
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -216,7 +225,8 @@ def checkpoint_load(path: Union[str, Path]) -> Checkpoint:
     version = doc.get("version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
-            f"{path}: version {version!r} not supported (expected {CHECKPOINT_VERSION})"
+            f"{path}: version {version!r} not supported (expected {CHECKPOINT_VERSION}); "
+            f"delete it and {path}.records to restart the scan"
         )
     try:
         return Checkpoint(
@@ -224,11 +234,8 @@ def checkpoint_load(path: Union[str, Path]) -> Checkpoint:
             target_index=_parse_fraction(doc["target_index"]),
             bound=int(doc["bound"]),
             segment_size=int(doc["segment_size"]),
-            frontier=int(doc["frontier"]),
-            pending=tuple((int(lo), int(hi)) for lo, hi in doc["pending"]),
-            fingerprint=doc["fingerprint"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _DECODE_ERRORS as exc:
         raise CheckpointCorruptError(str(path), f"bad field: {exc}") from exc
 
 
@@ -282,81 +289,66 @@ def scan(
     workers: int = 1,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     checkpoint_path: Union[str, Path, None] = None,
-    records_path: Union[str, Path, None] = None,
     max_segments: Optional[int] = None,
 ) -> ScanOutcome:
     """Scan [1, bound) for values whose abundancy index equals ``target``.
 
-    With a checkpoint path the scan is resumable: completed segments are
-    never rescanned, and resuming under different parameters is refused via
-    the config fingerprint. Records of completed segments append to
-    ``records_path`` (defaulting to the checkpoint path plus ``.records``)
-    so a resumed run can still report global hits and checksums. Checkpoint
-    and record writes all happen in this process, regardless of worker
-    count. ``max_segments`` caps how many segments this call processes,
-    which makes interruption testable.
+    With a checkpoint path the scan is resumable. The checkpoint holds the
+    run's parameters and is written once, when the run starts; resuming
+    under different parameters is refused. Each completed segment appends
+    its record to ``checkpoint_path + ".records"``, and that file alone says
+    which segments are done, so a resumed run never rescans them and still
+    reports global hits and checksums. All writes happen in this process,
+    regardless of worker count. ``max_segments`` caps how many segments
+    this call processes, which makes interruption testable.
     """
     target = Fraction(target)
     grid = segment_grid(bound, segment_size)
-    fingerprint = config_fingerprint(target, bound, segment_size)
-    if records_path is None and checkpoint_path is not None:
-        records_path = str(checkpoint_path) + ".records"
-
     done: dict[tuple[int, int], ScanRecord] = {}
-    if checkpoint_path is not None and Path(checkpoint_path).exists():
-        cp = checkpoint_load(checkpoint_path)
-        if cp.fingerprint != fingerprint:
-            raise CheckpointMismatchError(
-                f"{checkpoint_path}: fingerprint {cp.fingerprint} does not match "
-                f"current parameters ({fingerprint}); refusing to resume"
-            )
-        pending = set(cp.pending)
-        completed_segments = [seg for seg in grid if seg not in pending]
-        if completed_segments:
-            if records_path is None or not Path(records_path).exists():
-                raise CheckpointCorruptError(
-                    str(checkpoint_path), "records file for completed segments is missing"
+    records_path = None
+    if checkpoint_path is not None:
+        records_path = str(checkpoint_path) + ".records"
+        params = Checkpoint(CHECKPOINT_VERSION, target, bound, segment_size)
+        if Path(checkpoint_path).exists():
+            stored = checkpoint_load(checkpoint_path)
+            if stored != params:
+                raise CheckpointMismatchError(
+                    f"{checkpoint_path}: written for {stored}, not {params}; refusing to resume"
                 )
-            on_disk = {(r.lo, r.hi): r for r in read_records(records_path)}
-            for seg in completed_segments:
-                rec = on_disk.get(seg)
-                if rec is None:
+            for rec in read_records(records_path):
+                seg = (rec.lo, rec.hi)
+                k = (rec.lo - 1) // segment_size  # the position seg must have in the grid
+                if rec.target_index != target or not (0 <= k < len(grid) and grid[k] == seg):
                     raise CheckpointCorruptError(
-                        str(records_path), f"no record for completed segment {seg}"
+                        records_path,
+                        f"record [{rec.lo}, {rec.hi}) for index "
+                        f"{_fraction_str(rec.target_index)} is not a segment of this scan",
                     )
                 done[seg] = rec
-    else:
-        pending = set(grid)
+        else:
+            open(records_path, "wb").close()
+            checkpoint_save(checkpoint_path, params)
 
-    todo = sorted(pending)
+    todo = [seg for seg in grid if seg not in done]
     if max_segments is not None:
         todo = todo[:max_segments]
 
     new_records: list[ScanRecord] = []
-    records_fh = open(records_path, "a", encoding="utf-8") if records_path else None
+    records_fh = open(records_path, "a+b") if records_path else None
     try:
+        if records_fh is not None and records_fh.seek(0, os.SEEK_END):
+            # A last line without its newline was cut short by a crash and
+            # read_records left it out; drop it so appends start on a new line.
+            with mmap.mmap(records_fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+                whole = view.rfind(b"\n") + 1
+            records_fh.truncate(whole)
 
         def complete(rec: ScanRecord) -> None:
-            seg = (rec.lo, rec.hi)
-            done[seg] = rec
-            pending.discard(seg)
+            done[(rec.lo, rec.hi)] = rec
             new_records.append(rec)
             if records_fh is not None:
-                records_fh.write(record_to_json(rec) + "\n")
+                records_fh.write(record_to_json(rec).encode("utf-8") + b"\n")
                 records_fh.flush()
-            if checkpoint_path is not None:
-                checkpoint_save(
-                    checkpoint_path,
-                    Checkpoint(
-                        version=CHECKPOINT_VERSION,
-                        target_index=target,
-                        bound=bound,
-                        segment_size=segment_size,
-                        frontier=_frontier(done, grid),
-                        pending=tuple(sorted(pending)),
-                        fingerprint=fingerprint,
-                    ),
-                )
 
         if workers <= 1:
             for lo, hi in todo:
@@ -379,7 +371,7 @@ def scan(
         target_index=target,
         bound=bound,
         segment_size=segment_size,
-        complete=not pending,
+        complete=len(done) == len(grid),
         frontier=_frontier(done, grid),
         hits=hits,
         scanned_count=sum(rec.scanned_count for rec in ordered),

@@ -14,7 +14,7 @@ if str(SRC) not in sys.path:
 def run_cli():
     """Run the CLI in a subprocess; returns CompletedProcess with text output."""
 
-    def runner(*args, env=None):
+    def runner(*args, env=None, timeout=None):
         full_env = dict(os.environ)
         full_env["PYTHONPATH"] = str(SRC) + os.pathsep + full_env.get("PYTHONPATH", "")
         if env:
@@ -24,6 +24,7 @@ def run_cli():
             capture_output=True,
             text=True,
             env=full_env,
+            timeout=timeout,
         )
 
     return runner

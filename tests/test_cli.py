@@ -1,6 +1,12 @@
 """The command-line surface: outputs, envelopes, exit codes, env fallbacks."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from friendly.abundancy import abundancy_index, find_friends
 from friendly.arith import factorize, sigma
@@ -211,6 +217,33 @@ def test_env_json_toggle(run_cli):
     assert doc["result"]["sigma"] == "31"
 
 
+@pytest.mark.parametrize("text", ["0^-1", "2^-1", "2^200000000"])
+def test_bad_power_is_usage_error(run_cli, text):
+    positional = run_cli("sigma", text, timeout=10)
+    env = run_cli("friends", "6", env={"FRIENDLY_BOUND": text}, timeout=10)
+    for result in (positional, env):
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert text in result.stderr
+
+
+def test_closed_stdout_is_not_a_traceback():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "friendly", "scan", "--bound", "10^6", "--index", "9/5", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader goes away before any output is written
+    with proc:
+        stderr = proc.stderr.read().decode()
+        proc.wait(timeout=60)
+    assert "Traceback" not in stderr
+    assert stderr == ""
+
+
 def test_bad_env_value_is_usage_error(run_cli):
     result = run_cli("friends", "6", env={"FRIENDLY_BOUND": "soon"})
     assert result.returncode == 2
@@ -223,6 +256,10 @@ def test_parse_natural_forms():
     assert parse_natural("10000000") == 10 ** 7
     assert parse_natural("10^7") == 10 ** 7
     assert parse_natural("1_000") == 1000
+    assert parse_natural("2^8192") == 2 ** 8192  # 2 * 8192 bits by the estimate: the limit
+    for text in ("0^-1", "2^-1", "-2^2", "2^8193", "10^1000000000000"):
+        with pytest.raises(ValueError):
+            parse_natural(text)
 
 
 def test_caret_form_on_the_command_line(run_cli):

@@ -1,5 +1,6 @@
 """Segmented scanning, checkpointing, and structured enumeration."""
 
+import importlib
 import json
 import math
 import random
@@ -10,13 +11,13 @@ import pytest
 
 from friendly.arith import factorize, sigma
 from friendly.scan import (
+    CHECKPOINT_VERSION,
     Checkpoint,
     CheckpointCorruptError,
     CheckpointMismatchError,
     CheckpointVersionError,
     checkpoint_load,
     checkpoint_save,
-    config_fingerprint,
     enumerate_structured,
     read_records,
     scan,
@@ -162,30 +163,20 @@ def test_scan_coverage_has_no_gaps_or_overlap():
 
 def test_checkpoint_round_trip(tmp_path):
     cp = Checkpoint(
-        version=1,
+        version=CHECKPOINT_VERSION,
         target_index=Fraction(9, 5),
         bound=10 ** 6,
         segment_size=1 << 20,
-        frontier=2 ** 20 + 1,
-        pending=((2 ** 20 + 1, 10 ** 6),),
-        fingerprint=config_fingerprint(Fraction(9, 5), 10 ** 6, 1 << 20),
     )
     path = tmp_path / "scan.checkpoint"
     checkpoint_save(path, cp)
     assert checkpoint_load(path) == cp
+    assert [p.name for p in tmp_path.iterdir()] == ["scan.checkpoint"]  # no temp file left
 
 
 def test_checkpoint_truncated_file_reports_offset(tmp_path):
     path = tmp_path / "scan.checkpoint"
-    cp = Checkpoint(
-        version=1,
-        target_index=Fraction(2),
-        bound=100,
-        segment_size=10,
-        frontier=1,
-        pending=(),
-        fingerprint="x",
-    )
+    cp = Checkpoint(version=CHECKPOINT_VERSION, target_index=Fraction(2), bound=100, segment_size=10)
     checkpoint_save(path, cp)
     whole = path.read_text()
     path.write_text(whole[: len(whole) // 2])
@@ -202,11 +193,36 @@ def test_checkpoint_unknown_version_refused(tmp_path):
         checkpoint_load(path)
 
 
+def test_checkpoint_version_1_refused_with_restart_advice(tmp_path):
+    path = tmp_path / "scan.checkpoint"
+    path.write_text(json.dumps({
+        "version": 1, "target_index": "9/5", "bound": "100", "segment_size": "10",
+        "frontier": "1", "pending": [["1", "11"]], "fingerprint": "0123456789abcdef",
+    }))
+    (tmp_path / "scan.checkpoint.records").write_text("")
+    with pytest.raises(CheckpointVersionError) as info:
+        scan(100, Fraction(9, 5), segment_size=10, checkpoint_path=path)
+    assert "delete" in str(info.value) and "scan.checkpoint.records" in str(info.value)
+
+
 def test_checkpoint_missing_field_is_corrupt(tmp_path):
     path = tmp_path / "scan.checkpoint"
-    path.write_text(json.dumps({"version": 1, "bound": "10"}))
+    path.write_text(json.dumps({"version": CHECKPOINT_VERSION, "bound": "10"}))
     with pytest.raises(CheckpointCorruptError):
         checkpoint_load(path)
+
+
+def test_checkpoint_is_written_once_per_run(tmp_path, monkeypatch):
+    module = importlib.import_module("friendly.scan")  # the package exports a function `scan`
+    calls = []
+    save = module.checkpoint_save
+    monkeypatch.setattr(module, "checkpoint_save", lambda *a: calls.append(a) or save(*a))
+    path = tmp_path / "scan.checkpoint"
+    fresh = scan(2000, Fraction(2), segment_size=10, checkpoint_path=path, max_segments=150)
+    assert fresh.segments_done == 150 and len(calls) == 1
+    resumed = scan(2000, Fraction(2), segment_size=10, checkpoint_path=path)
+    assert resumed.complete and len(resumed.new_records) == 50 and len(calls) == 1
+    assert resumed.hits == (6, 28, 496)
 
 
 def test_resume_refuses_mismatched_parameters(tmp_path):
@@ -229,9 +245,11 @@ def test_resume_rescans_nothing_below_frontier(tmp_path):
     assert all(rec.lo >= first.frontier for rec in second.new_records)
     assert second.hits == (10,)
     assert second.scanned_count == bound - 1
-    # combined coverage is seamless
-    cp = checkpoint_load(path)
-    assert cp.pending == () and cp.frontier == bound
+    # combined coverage is seamless, and the checkpoint still names the run
+    assert second.frontier == bound
+    records = read_records(str(path) + ".records")
+    assert [(r.lo, r.hi) for r in records] == segment_grid(bound, seg)
+    assert checkpoint_load(path) == Checkpoint(CHECKPOINT_VERSION, Fraction(9, 5), bound, seg)
 
 
 def test_resumed_totals_match_a_fresh_run(tmp_path):
@@ -243,6 +261,52 @@ def test_resumed_totals_match_a_fresh_run(tmp_path):
     assert resumed.hits == fresh.hits
     assert resumed.checksum == fresh.checksum
     assert resumed.scanned_count == fresh.scanned_count
+
+
+def test_resume_after_a_crash_at_every_byte_of_the_records_file(tmp_path):
+    bound, seg, target = 1200, 100, Fraction(2)
+    fresh = scan(bound, target, segment_size=seg)
+    grid = segment_grid(bound, seg)
+    path = tmp_path / "scan.checkpoint"
+    records = tmp_path / "scan.checkpoint.records"
+    scan(bound, target, segment_size=seg, checkpoint_path=path, max_segments=6)
+    data = records.read_bytes()
+    assert data.count(b"\n") == 6 and data.endswith(b"\n")
+    for cut in range(len(data) + 1):
+        records.write_bytes(data[:cut])
+        whole = data[:cut].count(b"\n")  # lines that survived with their newline
+        resumed = scan(bound, target, segment_size=seg, checkpoint_path=path)
+        assert resumed.hits == fresh.hits == (6, 28, 496), cut
+        assert resumed.checksum == fresh.checksum, cut
+        assert resumed.scanned_count == fresh.scanned_count, cut
+        assert [(r.lo, r.hi) for r in resumed.new_records] == grid[whole:], cut
+        assert [(r.lo, r.hi) for r in read_records(records)] == grid, cut
+
+
+def test_corrupt_middle_record_reports_its_offset(tmp_path):
+    path = tmp_path / "scan.checkpoint"
+    records = tmp_path / "scan.checkpoint.records"
+    scan(1200, Fraction(2), segment_size=100, checkpoint_path=path, max_segments=3)
+    lines = records.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][: len(lines[1]) // 2] + b"\n"
+    records.write_bytes(b"".join(lines))
+    with pytest.raises(CheckpointCorruptError) as info:
+        scan(1200, Fraction(2), segment_size=100, checkpoint_path=path)
+    assert info.value.offset == len(lines[0])
+    assert f"at byte {len(lines[0])}" in str(info.value)
+
+
+@pytest.mark.parametrize("other_seg, other_target", [(50, Fraction(2)), (100, Fraction(9, 5))])
+def test_resume_refuses_records_of_another_scan(tmp_path, other_seg, other_target):
+    path = tmp_path / "scan.checkpoint"
+    records = tmp_path / "scan.checkpoint.records"
+    scan(1200, Fraction(2), segment_size=100, checkpoint_path=path, max_segments=2)
+    mine = records.read_bytes()
+    other = tmp_path / "other.checkpoint"
+    scan(1200, other_target, segment_size=other_seg, checkpoint_path=other, max_segments=3)
+    records.write_bytes(mine + (tmp_path / "other.checkpoint.records").read_bytes())
+    with pytest.raises(CheckpointCorruptError, match="not a segment of this scan"):
+        scan(1200, Fraction(2), segment_size=100, checkpoint_path=path)
 
 
 def test_records_file_is_jsonl_with_decimal_strings(tmp_path):
