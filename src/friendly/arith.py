@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import random
 import threading
 from dataclasses import dataclass
@@ -114,8 +115,8 @@ _sieve_primes: tuple[int, ...] = ()
 _slice_memo: dict[int, tuple[int, ...]] = {}
 
 
-def primes_below(limit: int) -> tuple[int, ...]:
-    """All primes < limit, served from a grow-only cached sieve."""
+def _grow_sieve(limit: int) -> tuple[int, ...]:
+    """The cached primes, grown first if they do not yet cover all primes < limit."""
     global _sieve_limit, _sieve_primes
     if limit > _sieve_limit:
         with _sieve_lock:
@@ -124,7 +125,12 @@ def primes_below(limit: int) -> tuple[int, ...]:
                 _sieve_primes = _eratosthenes(new_limit)
                 _sieve_limit = new_limit
                 _slice_memo.clear()
-    primes = _sieve_primes
+    return _sieve_primes
+
+
+def primes_below(limit: int) -> tuple[int, ...]:
+    """All primes < limit, served from a grow-only cached sieve."""
+    primes = _grow_sieve(limit)
     if not primes or primes[-1] < limit:
         return primes
     cut = _slice_memo.get(limit)
@@ -156,6 +162,13 @@ class Factorization:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             prev = p
+
+    @classmethod
+    def _proven(cls, pairs: tuple[tuple[int, int], ...]) -> Factorization:
+        """Skip the checks: only for ``factorize``, which proved every prime."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "pairs", pairs)
+        return f
 
     @property
     def value(self) -> int:
@@ -192,26 +205,27 @@ def factorize(
 ) -> Factorization:
     """Factor n >= 1: trial division by sieve primes, then Brent's rho.
 
-    Trial division runs over the cached primes below ``trial_bound``;
-    whatever survives goes through Brent's cycle method under an iteration
-    budget. Exceeding the budget raises FactoringBudgetError so callers can
-    skip or defer the value rather than stall.
+    Trial division runs over the cached primes below min(trial_bound,
+    isqrt(n) + 1); whatever survives goes through Brent's cycle method under
+    an iteration budget. Exceeding the budget raises FactoringBudgetError so
+    callers can skip or defer the value rather than stall.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"can only factor n >= 1, got {n}")
     if trial_bound < 3:
         raise ValueError("trial_bound must be at least 3")
     factors: dict[int, int] = {}
     rest = n
-    for p in primes_below(trial_bound):
-        if p * p > rest:
+    for p in _grow_sieve(min(trial_bound, math.isqrt(n) + 1)):
+        if p >= trial_bound or p * p > rest:
             break
         while rest % p == 0:
             rest //= p
             factors[p] = factors.get(p, 0) + 1
     if rest > 1:
         _split(rest, factors, [rho_budget], rho_budget, trial_bound)
-    return Factorization(tuple(sorted(factors.items())))
+    return Factorization._proven(tuple(sorted(factors.items())))
 
 
 def _split(

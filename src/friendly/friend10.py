@@ -239,26 +239,9 @@ def eq1_check(c: Candidate) -> bool:
 
 
 def _geom_sum_mod(p: int, terms: int, mod: int) -> int:
-    """(1 + p + ... + p^(terms-1)) mod ``mod`` without big powers.
-
-    Requires gcd(p, mod) = 1; uses the period of p mod ``mod`` so that huge
-    exponents cost nothing.
-    """
-    if math.gcd(p, mod) != 1:
-        raise ValueError(f"geometric sum trick needs gcd({p}, {mod}) = 1")
-    d = multiplicative_order(p, mod) if p % mod != 1 else 1
-    cycle = 0
-    x = 1
-    for _ in range(d):
-        cycle += x
-        x = x * p % mod
-    full, rem = divmod(terms, d)
-    partial = 0
-    x = 1
-    for _ in range(rem):
-        partial += x
-        x = x * p % mod
-    return (full * cycle + partial) % mod
+    """(1 + p + ... + p^(terms-1)) mod ``mod`` for prime p, without big powers:
+    p^terms ≡ 1 (mod p - 1) still holds after reducing mod mod * (p - 1)."""
+    return (pow(p, terms, mod * (p - 1)) - 1) // (p - 1) % mod
 
 
 def _sigma_q_squared_mod(c: Candidate, mod: int) -> int:

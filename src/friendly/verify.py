@@ -163,22 +163,24 @@ def _lemma21_prime_replacement(t: _Tally, prime_limit: int = 50, exp_max: int = 
     for length in range(1, max_len + 1):
         tuples = list(combinations(primes, length))
         exps = list(product(range(1, exp_max + 1), repeat=length))
-        cache = {}
+        # One row of (sigma, value) per support, in ``exps`` order.
+        rows = {}
         for tp in tuples:
+            row = []
             for ex in exps:
                 num = den = 1
                 for p, e in zip(tp, ex):
                     num *= sigma_prime_power(p, e)
                     den *= p ** e
-                cache[tp, ex] = (num, den)
+                row.append((num, den))
+            rows[tp] = row
         for small in tuples:
+            small_row = rows[small]
             for large in tuples:
                 if any(a > b for a, b in zip(small, large)):
                     continue
-                for ex in exps:
-                    n1, d1 = cache[small, ex]
-                    n2, d2 = cache[large, ex]
-                    t.checks += 1
+                t.checks += len(exps)
+                for ex, (n1, d1), (n2, d2) in zip(exps, small_row, rows[large]):
                     if n1 * d2 < n2 * d1:
                         t.fail(f"I({small}^{ex}) < I({large}^{ex})")
 

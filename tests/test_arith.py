@@ -2,9 +2,14 @@
 
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from friendly import arith
 from friendly.arith import (
     FactoringBudgetError,
     Factorization,
@@ -105,6 +110,69 @@ def test_factorization_invariants_enforced():
     with pytest.raises(ValueError):
         Factorization(((3, 0),))  # exponent < 1
     assert Factorization(()).value == 1
+
+
+def test_factorize_agrees_with_validated_constructor():
+    # factorize skips the checks on its own output; the checked constructor
+    # must accept that output unchanged.
+    semiprimes = [
+        1_000_003 * 1_000_033,  # just above trial_bound^2, so _split runs is_prime and rho
+        (2 ** 31 - 1) * (2 ** 61 - 1),
+        999_983 * 1_000_003,
+    ]
+    values = [*range(1, 20_001), *range(10 ** 12 - 200, 10 ** 12 + 200), *semiprimes]
+    for n in values:
+        f = factorize(n)
+        assert f == Factorization(f.pairs), n
+        assert f.value == n
+    assert factorize(semiprimes[0]).pairs == ((1_000_003, 1), (1_000_033, 1))
+
+
+def test_factorize_proves_no_prime_twice(monkeypatch):
+    calls = []
+    real = arith.is_prime
+
+    def counting(n, **kwargs):
+        calls.append(n)
+        return real(n, **kwargs)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    for n in range(2, 10_001):
+        factorize(n)
+    assert calls == []
+
+
+def test_factorize_numpy_integer_gives_python_ints():
+    f = factorize(np.int64(720))
+    assert f == factorize(720)
+    assert all(type(x) is int for pair in f.pairs for x in pair)
+
+
+def test_factorize_respects_small_trial_bound():
+    # A trial_bound below the cached primes hands more to _split and rho;
+    # the factors must not change.
+    for bound in (3, 10, 100):
+        for n in range(1, 3000):
+            assert factorize(n, trial_bound=bound) == factorize(n), (n, bound)
+
+
+def test_factorize_small_n_builds_small_sieve():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]);"
+        "from friendly import arith; arith.factorize(25); print(arith._sieve_limit)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert int(out.stdout) < 10 ** 6
+
+
+def test_factorize_keeps_no_slice_per_input():
+    before = len(arith._slice_memo)
+    for n in range(2, 10_001):
+        factorize(n)
+    assert len(arith._slice_memo) <= before
 
 
 # --- sigma -------------------------------------------------------------------

@@ -15,6 +15,7 @@ from friendly.friend10 import (
     ResidueClass,
     RuleResult,
     Verdict,
+    _geom_sum_mod,
     am_gm_sigma_bound,
     congruence_sum_check,
     derive_residue_class,
@@ -188,6 +189,18 @@ def test_nine_exact_handles_huge_exponents():
     # mod-27 reduction must not materialize sigma(5^(2a)) for astronomical a
     c = Candidate(a=10 ** 12 + 13, q_factorization=Factorization(((7, 10 ** 12),)))
     assert nine_exact_divisibility(c) in (True, False)
+
+
+def test_geom_sum_mod_matches_direct_sum():
+    # Includes p = 2 and the pairs where p divides the modulus (2 | 8,
+    # 3 | 9 and 27, 2 and 5 | 1000).
+    primes = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
+    for p in primes:
+        total = 0
+        for terms in range(81):
+            for mod in (1, 8, 9, 27, 1000):
+                assert _geom_sum_mod(p, terms, mod) == total % mod, (p, terms, mod)
+            total += p ** terms
 
 
 # --- exponent pattern filters -----------------------------------------------------
