@@ -32,15 +32,12 @@ _SEGMENT = 1 << 20
 def abundancy_index(f: Union[Factorization, int]) -> Fraction:
     """sigma(n)/n in lowest terms.
 
-    Computed per prime power as (p^(e+1) - 1) / (p^e (p - 1)) and reduced
-    exactly, so n itself never has to be materialized.
+    sigma(n) and n are multiplied up from the prime powers as integers and
+    reduced once.
     """
     if isinstance(f, int):
         f = factorize(f)
-    out = Fraction(1)
-    for p, e in f:
-        out *= Fraction(p ** (e + 1) - 1, p ** e * (p - 1))
-    return out
+    return Fraction(sigma(f), f.value)
 
 
 def index_upper_bound(primes: Iterable[int]) -> Fraction:
@@ -50,12 +47,19 @@ def index_upper_bound(primes: Iterable[int]) -> Fraction:
         raise ValueError("prime support must be non-empty")
     if len(set(ps)) != len(ps):
         raise ValueError("primes must be distinct")
-    out = Fraction(1)
     for p in ps:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        out *= Fraction(p, p - 1)
-    return out
+    return _support_ceiling(ps)
+
+
+def _support_ceiling(primes: Iterable[int]) -> Fraction:
+    """prod p/(p-1) over primes the caller has already validated, reduced once."""
+    num = den = 1
+    for p in primes:
+        num *= p
+        den *= p - 1
+    return Fraction(num, den)
 
 
 def are_friends(m: int, n: int) -> bool:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .abundancy import index_upper_bound
+from .abundancy import _support_ceiling, index_upper_bound
 from .arith import (
     Factorization,
     crt,
@@ -396,7 +396,10 @@ def prime_support_filter(primes: Iterable[int]) -> RuleResult:
     ps = tuple(primes)
     if 5 not in ps:
         raise ValueError("candidate prime support must include 5")
-    bound = index_upper_bound(ps)
+    return _prime_support_verdict(index_upper_bound(ps))
+
+
+def _prime_support_verdict(bound: Fraction) -> RuleResult:
     if bound <= TARGET_INDEX:
         return RuleResult(
             "prime_support",
@@ -444,7 +447,8 @@ def _structural_rule(c: Candidate) -> RuleResult:
 
 
 def _prime_support_rule(c: Candidate) -> RuleResult:
-    return prime_support_filter(c.primes)
+    # The candidate's Factorization already validated its primes.
+    return _prime_support_verdict(_support_ceiling(c.primes))
 
 
 def _nine_exact_rule(c: Candidate) -> RuleResult:

@@ -17,10 +17,11 @@ import json
 import mmap
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -109,7 +110,7 @@ def scan_range(lo: int, hi: int, target: Fraction, *, max_elements: int = sieve.
     num, den = target.numerator, target.denominator
     raw = sieve.index_hits(sig, lo, num, den)
     hits = tuple(h for h in raw if sigma(factorize(h)) * den == h * num)
-    checksum = int(np.add.reduce(sig.astype(np.uint64), dtype=np.uint64)) & _U64
+    checksum = int(np.add.reduce(sig.view(np.uint64), dtype=np.uint64)) & _U64
     elapsed = int((time.perf_counter() - started) * 1000)
     return ScanRecord(
         lo=lo,
@@ -354,13 +355,23 @@ def scan(
             for lo, hi in todo:
                 complete(scan_range(lo, hi, target))
         else:
+            # At most 2 * workers segments in flight, so the pool's queue
+            # stays small however long the grid is.
+            segments = iter(todo)
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_scan_segment_task, lo, hi, target.numerator, target.denominator)
-                    for lo, hi in todo
-                ]
-                for future in as_completed(futures):
-                    complete(future.result())
+                pending: set = set()
+                while True:
+                    for lo, hi in islice(segments, 2 * workers - len(pending)):
+                        pending.add(
+                            pool.submit(
+                                _scan_segment_task, lo, hi, target.numerator, target.denominator
+                            )
+                        )
+                    if not pending:
+                        break
+                    finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+                    for future in finished:
+                        complete(future.result())
     finally:
         if records_fh is not None:
             records_fh.close()

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from friendly import abundancy
 from friendly.abundancy import abundancy_index
 from friendly.arith import Factorization, factorize, sigma, sigma_prime_power
 from friendly.friend10 import (
@@ -340,6 +341,22 @@ def test_prime_support_examples():
 def test_prime_support_requires_5():
     with pytest.raises(ValueError):
         prime_support_filter([7, 11])
+
+
+def test_prime_support_rule_trusts_the_candidates_primes(monkeypatch):
+    calls = []
+    real = abundancy.is_prime
+    monkeypatch.setattr(abundancy, "is_prime", lambda n, **kw: calls.append(n) or real(n, **kw))
+    candidates = [
+        candidate(1, q=7 * 11 * 13 * 17 * 19 * 23),
+        candidate(1, q=97 * 101 * 103 * 107 * 109 * 113),
+        candidate(2, q=7 * 11 * 13 * 17 * 23 * 71),
+        candidate(13, exponents=(13,) * 6),
+    ]
+    rule = [filter_chain(c).results[1] for c in candidates]
+    assert calls == []
+    assert rule == [prime_support_filter(c.primes) for c in candidates]
+    assert [r.verdict for r in rule] == [Verdict.PASS, Verdict.REJECT, Verdict.PASS, Verdict.PASS]
 
 
 # --- structural precheck --------------------------------------------------------------

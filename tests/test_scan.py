@@ -5,6 +5,7 @@ import json
 import math
 import random
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -47,9 +48,11 @@ def test_sigma_range_matches_divisor_enumeration():
 
 
 def test_sigma_range_offset_segment():
-    values = sigma_range(995, 1015)
-    for n in range(995, 1015):
-        assert int(values[n - 995]) == divisor_sum(n)
+    # Short segments, and ones across a period of the 2-3-5 wheel (21600).
+    for lo, hi in [(995, 1015), (1, 2), (2, 4), (31, 34), (21590, 21610), (43199, 43202)]:
+        values = sigma_range(lo, hi)
+        for n in range(lo, hi):
+            assert int(values[n - lo]) == divisor_sum(n), n
 
 
 def test_sigma_range_budget():
@@ -74,6 +77,9 @@ def test_sieve_agrees_with_factorization_path():
         (999983 ** 2 - 300, 999983 ** 2 + 300),  # a large prime square inside
         (33554393 ** 2 - 50, 33554393 ** 2 + 50),  # p^3 past int64: p must stay a Python int
         ((1 << 50) - 1000, 1 << 50),  # the top of the int64-exact range
+        (2 ** 40 - 300, 2 ** 40 + 300),  # powers of the wheel's primes past the wheel
+        (3 ** 25 - 300, 3 ** 25 + 300),
+        (5 ** 17 - 300, 5 ** 17 + 300),
     ],
 )
 def test_sigma_range_matches_factorization_at_height(lo, hi):
@@ -87,8 +93,23 @@ def test_sigma_range_matches_factorization_at_height(lo, hi):
 def test_index_hits_overflow_path_agrees_with_vectorized_path():
     values = sigma_range(1, 10 ** 4)
     big = 1 << 62  # den * sigma(n) no longer fits int64
-    assert index_hits(values, 1, 2, 1) == [6, 28, 496, 8128]
-    assert index_hits(values, 1, 2 * big, big) == [6, 28, 496, 8128]
+    perfect = [6, 28, 496, 8128]
+    # Targets not in lowest terms: 6/4 hits at 2, a multiple of 4/gcd(6, 4) but not of 4.
+    for num, den, expected in [(2, 1, perfect), (4, 2, perfect), (6, 4, [2])]:
+        assert index_hits(values, 1, num, den) == expected
+        assert index_hits(values, 1, num * big, den * big) == expected
+
+
+@pytest.mark.parametrize("lo", [7, 996])
+def test_index_hits_matches_a_filter_of_the_whole_segment(lo):
+    values = sigma_range(lo, 10 ** 5)
+    sigmas = values.tolist()
+    for num, den in [(9, 5), (18, 10), (6, 4), (4, 2), (3, 2), (7, 3)]:
+        brute = [n for n, s in enumerate(sigmas, lo) if den * s == num * n]
+        assert index_hits(values, lo, num, den) == brute, (num, den)
+    assert index_hits(values, lo, 9, 5) == ([10] if lo <= 10 else [])
+    # [11, 14) holds no multiple of 5, so nothing is compared.
+    assert index_hits(sigma_range(11, 14), 11, 9, 5) == []
 
 
 # --- scan_range -----------------------------------------------------------------
@@ -144,6 +165,36 @@ def test_scan_deterministic_across_worker_counts():
     assert strip(sorted(solo.new_records, key=lambda r: r.lo)) == strip(
         sorted(multi.new_records, key=lambda r: r.lo)
     )
+
+
+def test_scan_keeps_at_most_two_segments_per_worker_in_flight(monkeypatch):
+    module = importlib.import_module("friendly.scan")
+    counts = {"submitted": 0, "taken": 0, "peak": 0}
+
+    class CountingPool(ThreadPoolExecutor):
+        """Counts futures submitted and not yet read by the driver."""
+
+        def submit(self, *args):
+            future = super().submit(*args)
+            counts["submitted"] += 1
+            counts["peak"] = max(counts["peak"], counts["submitted"] - counts["taken"])
+            result = future.result
+
+            def taken(timeout=None):
+                counts["taken"] += 1
+                return result(timeout)
+
+            future.result = taken
+            return future
+
+    monkeypatch.setattr(module, "ProcessPoolExecutor", CountingPool)
+    pooled = scan(200_000, Fraction(9, 5), workers=2, segment_size=1 << 12)
+    solo = scan(200_000, Fraction(9, 5), workers=1, segment_size=1 << 12)
+    assert counts["submitted"] == counts["taken"] == 49
+    assert counts["peak"] == 4
+    assert pooled.hits == solo.hits == (10,)
+    assert pooled.checksum == solo.checksum
+    assert pooled.scanned_count == solo.scanned_count == 199_999
 
 
 def test_scan_coverage_has_no_gaps_or_overlap():
