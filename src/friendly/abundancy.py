@@ -79,6 +79,7 @@ def find_friends(n: int, bound: int, *, segment_size: int = _SEGMENT) -> list[in
         raise ValueError("n must be positive")
     target = abundancy_index(n)
     hits: list[int] = []
+    sieve.cover(bound + 1)
     for lo in range(1, bound + 1, segment_size):
         sig = sieve.sigma_range(lo, min(lo + segment_size, bound + 1))
         hits.extend(sieve.index_hits(sig, lo, target.numerator, target.denominator))

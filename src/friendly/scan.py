@@ -352,13 +352,16 @@ def scan(
                 records_fh.flush()
 
         if workers <= 1:
+            sieve.cover(bound)
             for lo, hi in todo:
                 complete(scan_range(lo, hi, target))
         else:
             # At most 2 * workers segments in flight, so the pool's queue
             # stays small however long the grid is.
             segments = iter(todo)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=sieve.cover, initargs=(bound,)
+            ) as pool:
                 pending: set = set()
                 while True:
                     for lo, hi in islice(segments, 2 * workers - len(pending)):

@@ -6,13 +6,25 @@ into ``smooth`` at each multiple of p, where p^e is the largest power of p
 dividing that value. One division at the end, n // smooth, leaves 1 or the
 one prime factor of n above sqrt(n), which contributes itself + 1.
 
-``sig`` and ``smooth`` start as a repeated table holding 2, 3 and 5 to low
-powers (a wheel); those primes are then sieved only where a higher power
-divides. Every other prime with many multiples in the segment is sieved
-with strided slices, one loop iteration per prime. The rest, each with at
-most about _STRIDED_MULTIPLES multiples, are sieved a batch of primes at a
-time with unbuffered scatter updates. All arithmetic is int64 with an
-explicit headroom guard, so results are exact, never floating point.
+The segment is sieved in blocks of _BLOCK values, each finished before the
+next starts. ``smooth`` and every other scratch array is block-sized, to
+stay in cache, so a call holds its output, block scratch and per-prime
+state of O(pi(sqrt(hi))) entries, and nothing else as long as the segment.
+In each block ``sig`` and ``smooth`` start as a repeated table holding 2, 3
+and 5 to low powers (a wheel); those primes are then sieved only where a
+higher power divides. Every other prime with many multiples in a block is
+sieved with strided slices, one loop iteration per prime. Primes below the
+block length with at most about _STRIDED_MULTIPLES multiples per block are
+sieved a batch of primes at a time with unbuffered scatter updates. A prime
+no smaller than the block length divides at most one value of a block, so
+each such prime keeps the offset of its next multiple, and a block touches
+only the primes whose next multiple falls inside it (as in T. Oliveira e
+Silva, S. Herzog and S. Pardi, Math. Comp. 83 (2014)). All arithmetic is
+int64 with an explicit headroom guard, so results are exact, never floating
+point.
+
+The base primes are sieved once per process, for the highest segment seen
+or the bound given to ``cover``, and sliced for lower segments.
 
 The matcher compares den * sigma(n) with num * n only where it can hold:
 at the multiples of den / gcd(num, den).
@@ -22,10 +34,11 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
-__all__ = ["MAX_SEGMENT", "SieveBudgetError", "index_hits", "sigma_range"]
+__all__ = ["MAX_SEGMENT", "SieveBudgetError", "cover", "index_hits", "sigma_range"]
 
 MAX_SEGMENT = 1 << 24
 # Robin (1984): sigma(n)/n < e^gamma ln ln n + 0.6483 / ln ln n for n >= 3,
@@ -34,9 +47,12 @@ MAX_SEGMENT = 1 << 24
 # sieve intermediate is bounded by n or sigma(n): a power pw <= p^e and every
 # partial product in smooth divide n, the quotient n // smooth and its
 # successor are <= n + 1, a running sum acc <= sigma(p^e), and every partial
-# product in sig <= sigma(n). Scatter index arithmetic stays below 2^45.
+# product in sig <= sigma(n). Scatter index arithmetic stays below 2^45, and
+# the square of a base prime below 2^50.
 _VALUE_LIMIT = 1 << 50
-# A prime with more multiples than this in the segment is sieved by strides.
+# Values sieved at a time: 1 MB of int64, so block scratch stays in cache.
+_BLOCK = 1 << 17
+# A prime with more multiples than this in a block is sieved by strides.
 _STRIDED_MULTIPLES = 128
 # Below p^k, how often p divides n repeats with period p^k: these primes
 # come from a precomputed table and are sieved by strides only from p^k on.
@@ -45,6 +61,10 @@ _WHEEL_POWERS = ((2, 5), (3, 3), (5, 2))
 _BATCH_PRIMES = 4096
 # index_hits compares den * sigma(n) with num * n in int64 below this.
 _I64_GUARD = 1 << 62
+
+# (limit, the primes <= limit): replaced whole under the lock, never mutated.
+_base: tuple[int, np.ndarray] = (1, np.empty(0, dtype=np.int64))
+_base_lock = threading.Lock()
 
 
 class SieveBudgetError(Exception):
@@ -67,26 +87,68 @@ def sigma_range(lo: int, hi: int, *, max_elements: int = MAX_SEGMENT) -> np.ndar
         raise SieveBudgetError(f"values past {_VALUE_LIMIT} would overflow the sieve")
 
     size = hi - lo
+    block = min(size, _BLOCK)
+    # The wheel's primes are the first ones; the wheel covers them.
+    primes = _base_primes(math.isqrt(hi - 1))[len(_WHEEL_POWERS) :]
+    cut = int(np.searchsorted(primes, block // _STRIDED_MULTIPLES))
+    top = int(np.searchsorted(primes, block))
+    strided = primes[:cut].tolist()
+    batched = primes[cut:top]
+    # A prime >= block divides at most one value of a block. ahead holds the
+    # offset from lo of its next multiple. The rare one whose square divides
+    # a value here needs sigma(p^e), so it goes by strides. Only the others
+    # with a multiple in the segment are kept, so blocks scan no more primes
+    # than can hit them (near 2^50, about a seventh of them).
+    large = primes[top:]
+    ahead = large * large
+    np.remainder(-lo, ahead, out=ahead)
+    squared = ahead < size
+    strided += large[squared].tolist()
+    np.remainder(-lo, large, out=ahead)
+    live = np.flatnonzero((ahead < size) & ~squared)
+    large, ahead = large[live], ahead[live]
+
+    sig = np.empty(size, dtype=np.int64)
+    smooth = np.empty(block, dtype=np.int64)
     wheel_sig, wheel_smooth = _wheel()
-    shift = lo % len(wheel_sig)
-    sig = np.resize(np.roll(wheel_sig, -shift), size)
-    smooth = np.resize(np.roll(wheel_smooth, -shift), size)
-    for p, k in _WHEEL_POWERS:
-        _sieve_prime(sig, smooth, lo, p, p ** k)
-    primes = _primes_through(math.isqrt(hi - 1))
-    primes = primes[primes > _WHEEL_POWERS[-1][0]]
-    cut = int(np.searchsorted(primes, size // _STRIDED_MULTIPLES))
-    for p in primes[:cut].tolist():
-        _sieve_prime(sig, smooth, lo, p, p)
-    for first in range(cut, len(primes), _BATCH_PRIMES):
-        _sieve_prime_batch(sig, smooth, lo, primes[first : first + _BATCH_PRIMES])
-    # Exact, since smooth divides n: rest is 1 or a prime. In place, since
-    # temporaries here set peak memory.
-    rest = np.arange(lo, hi, dtype=np.int64)
-    rest //= smooth
-    rest += rest != 1
-    sig *= rest
+    for start in range(0, size, block):
+        stop = min(start + block, size)
+        at = lo + start
+        part, part_smooth = sig[start:stop], smooth[: stop - start]
+        _tile(part, wheel_sig, at)
+        _tile(part_smooth, wheel_smooth, at)
+        for p, k in _WHEEL_POWERS:
+            _sieve_prime(part, part_smooth, at, p, p ** k)
+        for p in strided:
+            _sieve_prime(part, part_smooth, at, p, p)
+        for first in range(0, len(batched), _BATCH_PRIMES):
+            _sieve_prime_batch(part, part_smooth, at, batched[first : first + _BATCH_PRIMES])
+        hit = np.flatnonzero(ahead < stop)
+        if len(hit):
+            p = large[hit]
+            where = ahead[hit]
+            ahead[hit] = where + p
+            where -= start
+            # Unbuffered: two primes can divide the same value.
+            np.multiply.at(part, where, p + 1)
+            np.multiply.at(part_smooth, where, p)
+        # Exact, since smooth divides n: rest is 1 or a prime. In place, since
+        # temporaries here set peak memory.
+        rest = np.arange(at, lo + stop, dtype=np.int64)
+        rest //= part_smooth
+        rest += rest != 1
+        part *= rest
     return sig
+
+
+def cover(hi: int) -> None:
+    """Sieve now the base primes of every segment below hi.
+
+    A scan calls this with its bound, so that its segments, which rise,
+    slice one array instead of each sieving a slightly longer one.
+    """
+    if hi > 1:
+        _base_primes(math.isqrt(hi - 1))
 
 
 @functools.cache
@@ -107,11 +169,40 @@ def _wheel() -> tuple[np.ndarray, np.ndarray]:
     return sig, smooth
 
 
+def _tile(out: np.ndarray, table: np.ndarray, at: int) -> None:
+    """Fill out with the periodic table, value at first."""
+    period = len(table)
+    shift = at % period
+    head = min(len(out), period - shift)
+    out[:head] = table[shift : shift + head]
+    for i in range(head, len(out), period):
+        out[i : i + period] = table[: len(out) - i]
+
+
+def _base_primes(limit: int) -> np.ndarray:
+    """Primes <= limit, ascending, as a read-only slice of the process cache.
+
+    The cache holds the exact cover of the highest limit asked for; a
+    higher one replaces it whole.
+    """
+    global _base
+    covered, primes = _base
+    if limit > covered:
+        with _base_lock:
+            covered, primes = _base
+            if limit > covered:
+                primes = _primes_through(limit)
+                primes.flags.writeable = False
+                _base = (limit, primes)
+    return primes[: int(np.searchsorted(primes, limit, side="right"))]
+
+
 def _primes_through(limit: int) -> np.ndarray:
     """Primes <= limit, ascending, as int64.
 
     Not arith.primes_below: its cache doubles past the limit and lives as
-    long as the process, which raises the peak memory of every scan.
+    long as the process, which raises the peak memory of every scan. The
+    cache in _base_primes keeps only the exact cover.
     """
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
@@ -185,6 +276,8 @@ def index_hits(sig: np.ndarray, lo: int, num: int, den: int) -> list[int]:
         return []
     # Vectorized only while int64 cannot overflow.
     if den * int(sub.max()) < _I64_GUARD and num * (hi - 1) < _I64_GUARD:
-        values = np.arange(lo + start, hi, step, dtype=np.int64)
-        return [int(v) for v in values[sub * den == values * num]]
+        # In place, so sub * den is the only other stride-sized temporary.
+        scaled = np.arange(lo + start, hi, step, dtype=np.int64)
+        scaled *= num
+        return [lo + start + step * int(j) for j in np.flatnonzero(sub * den == scaled)]
     return [n for n, s in zip(range(lo + start, hi, step), sub.tolist()) if s * den == n * num]

@@ -4,12 +4,15 @@ import importlib
 import json
 import math
 import random
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from friendly import sieve
 from friendly.arith import factorize, sigma
 from friendly.scan import (
     CHECKPOINT_VERSION,
@@ -38,6 +41,20 @@ def divisor_sum(n):
     return total
 
 
+def divisor_sums(lo, hi):
+    """sigma over [lo, hi), one numpy pass per divisor pair d <= n // d."""
+    out = np.zeros(hi - lo, dtype=np.int64)
+    for d in range(1, math.isqrt(hi - 1) + 1):
+        first = -lo % d
+        cofactor = np.arange(lo + first, hi, d) // d
+        out[first::d] += np.where(cofactor > d, d + cofactor, np.where(cofactor == d, d, 0))
+    return out
+
+
+BLOCK = sieve._BLOCK
+EMPTY_BASE = (1, np.empty(0, dtype=np.int64))
+
+
 # --- the sieve ----------------------------------------------------------------
 
 
@@ -53,6 +70,70 @@ def test_sigma_range_offset_segment():
         values = sigma_range(lo, hi)
         for n in range(lo, hi):
             assert int(values[n - lo]) == divisor_sum(n), n
+
+
+# 7 * 21600 - BLOCK puts the first block edge on a period of the 2-3-5 wheel.
+@pytest.mark.parametrize("lo", [1, 7 * 21600 - BLOCK])
+@pytest.mark.parametrize("size", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_sigma_range_across_block_edges(lo, size):
+    assert sigma_range(lo, lo + size).tolist() == divisor_sums(lo, lo + size).tolist()
+
+
+# 999983 is above the block length, so its square takes the rare-square path.
+@pytest.mark.parametrize(
+    "lo",
+    [
+        999983 ** 2 - BLOCK,  # the square opens the second block
+        999983 ** 2 - BLOCK + 1,  # the square closes the first block
+        999983 ** 2,  # the square opens the segment
+    ],
+)
+def test_sigma_range_large_prime_square_at_a_block_edge(lo):
+    hi = lo + BLOCK + 300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = sigma_range(lo, hi)
+    # Every value against a sieve whose blocks are cut elsewhere ...
+    assert values.tolist() == sigma_range(lo - 5, hi)[5:].tolist()
+    # ... and the values by the square and at both ends against factorize.
+    square = 999983 ** 2
+    near = set(range(square - 300, square + 300)) | set(range(lo, lo + 100)) | set(range(hi - 100, hi))
+    for n in sorted(v for v in near if lo <= v < hi):
+        assert int(values[n - lo]) == sigma(factorize(n)), n
+
+
+@pytest.mark.parametrize("lo", [1, 10 ** 12])
+def test_sigma_range_memory_is_its_output_plus_block_scratch(lo):
+    sigma_range(lo, lo + 2 ** 20)  # the base primes and the wheel are cached once per process
+    tracemalloc.start()
+    try:
+        values = sigma_range(lo, lo + 2 ** 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * values.nbytes, peak / values.nbytes
+
+
+def test_scan_sieves_its_base_primes_once(monkeypatch):
+    calls = []
+    primes_through = sieve._primes_through
+    monkeypatch.setattr(sieve, "_primes_through", lambda limit: calls.append(limit) or primes_through(limit))
+    monkeypatch.setattr(sieve, "_base", EMPTY_BASE)
+    outcome = scan(10 ** 6, Fraction(9, 5), workers=1, segment_size=1 << 16)
+    assert outcome.segments_total == 16
+    assert outcome.hits == (10,)
+    assert calls == [math.isqrt(10 ** 6 - 1)]
+
+
+def test_segment_after_a_higher_one_matches_a_fresh_sieve(monkeypatch):
+    # hi - 1 is the square of the prime 1009, so the base primes must keep 1009.
+    lo, hi = 1009 ** 2 - 2000, 1009 ** 2 + 1
+    monkeypatch.setattr(sieve, "_base", EMPTY_BASE)
+    fresh = sigma_range(lo, hi)
+    monkeypatch.setattr(sieve, "_base", EMPTY_BASE)
+    sigma_range(10 ** 12, 10 ** 12 + 10)
+    assert sieve._base[0] == 10 ** 6
+    assert sigma_range(lo, hi).tolist() == fresh.tolist() == divisor_sums(lo, hi).tolist()
 
 
 def test_sigma_range_budget():
