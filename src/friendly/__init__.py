@@ -39,6 +39,7 @@ from .friend10 import (
     congruence_sum_check,
     derive_residue_class,
     divides_sigma_even_power,
+    enumerate_structured,
     eq1_check,
     exponent_filter_mod27,
     exponent_filter_mod3,
@@ -61,7 +62,6 @@ from .scan import (
     ScanRecord,
     checkpoint_load,
     checkpoint_save,
-    enumerate_structured,
     scan,
     scan_range,
 )

@@ -13,8 +13,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Union
 
-from . import sieve
 from .arith import Factorization, factorize, is_prime, sigma
+from .scan import DEFAULT_SEGMENT_SIZE, scan
 
 __all__ = [
     "FriendPair",
@@ -25,8 +25,6 @@ __all__ = [
     "index_upper_bound",
     "solitary_certificate",
 ]
-
-_SEGMENT = 1 << 20
 
 
 def abundancy_index(f: Union[Factorization, int]) -> Fraction:
@@ -69,21 +67,18 @@ def are_friends(m: int, n: int) -> bool:
     return m != n and abundancy_index(m) == abundancy_index(n)
 
 
-def find_friends(n: int, bound: int, *, segment_size: int = _SEGMENT) -> list[int]:
+def find_friends(n: int, bound: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[int]:
     """Every m <= bound, m != n, with m's index equal to n's, ascending.
 
-    Runs on the batched sigma sieve, which is exact up to 2^50 and raises
-    SieveBudgetError past it.
+    A ``scan`` of [1, bound], so each sieve hit is re-verified exactly. A
+    bound past the sieve's 2^50 raises SieveBudgetError before any sieving.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    target = abundancy_index(n)
-    hits: list[int] = []
-    sieve.cover(bound + 1)
-    for lo in range(1, bound + 1, segment_size):
-        sig = sieve.sigma_range(lo, min(lo + segment_size, bound + 1))
-        hits.extend(sieve.index_hits(sig, lo, target.numerator, target.denominator))
-    return [m for m in hits if m != n]
+    if bound < 1:
+        return []
+    outcome = scan(bound + 1, abundancy_index(n), segment_size=segment_size)
+    return [m for m in outcome.hits if m != n]
 
 
 class SolitaryVerdict(Enum):

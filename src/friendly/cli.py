@@ -64,14 +64,17 @@ def parse_natural(text: str) -> int:
 
 
 def parse_index(text: str) -> Fraction:
-    """An exact ratio written P/Q."""
+    """A positive exact ratio written P/Q."""
     num, sep, den = text.strip().partition("/")
     if not sep:
         raise ValueError(f"index must be written as P/Q, got {text!r}")
     p, q = int(num), int(den)
     if q == 0:
         raise ValueError(f"index denominator must be nonzero, got {text!r}")
-    return Fraction(p, q)
+    index = Fraction(p, q)
+    if index <= 0:
+        raise ValueError(f"index must be positive, got {text!r}")
+    return index
 
 
 def parse_q_factors(text: str) -> Factorization:

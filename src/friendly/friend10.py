@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from heapq import merge
+from typing import Iterable, Iterator, Optional
 
 from .abundancy import _support_ceiling, index_upper_bound
 from .arith import (
@@ -40,6 +41,7 @@ __all__ = [
     "congruence_sum_check",
     "derive_residue_class",
     "divides_sigma_even_power",
+    "enumerate_structured",
     "eq1_check",
     "exponent_filter_mod27",
     "exponent_filter_mod3",
@@ -156,6 +158,32 @@ class Candidate:
         parts = [f"5^{2 * self.a}"]
         parts += [f"{p}^{2 * e}" for p, e in self.q_factorization]
         return " * ".join(parts)
+
+
+def enumerate_structured(bound: int) -> Iterator[Candidate]:
+    """Every candidate 5^(2a) * Q^2 <= bound, ascending by value.
+
+    Q runs over odd integers coprime to 15 (including 1); each admissible a
+    contributes one ascending stream and the streams merge by value. The
+    5-adic valuation pins a, so no value appears twice.
+    """
+    if bound < 25:
+        raise ValueError(f"bound must be at least 25, got {bound}")
+
+    def stream(a: int) -> Iterator[Candidate]:
+        base = 5 ** (2 * a)
+        q = 1
+        while base * q * q <= bound:
+            if q % 3 != 0 and q % 5 != 0:
+                yield Candidate(a=a, q_factorization=factorize(q))
+            q += 2
+
+    streams = []
+    a = 1
+    while 5 ** (2 * a) <= bound:
+        streams.append(stream(a))
+        a += 1
+    return merge(*streams, key=lambda c: c.value)
 
 
 @dataclass(frozen=True)

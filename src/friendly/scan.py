@@ -20,16 +20,14 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import merge
 from itertools import islice
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import sieve
 from .arith import factorize, sigma
-from .friend10 import Candidate
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -43,7 +41,6 @@ __all__ = [
     "ScanRecord",
     "checkpoint_load",
     "checkpoint_save",
-    "enumerate_structured",
     "read_records",
     "scan",
     "scan_range",
@@ -304,6 +301,8 @@ def scan(
     this call processes, which makes interruption testable.
     """
     target = Fraction(target)
+    # Refused before the grid or any file is made: no segment could be sieved.
+    sieve.check_height(bound)
     grid = segment_grid(bound, segment_size)
     done: dict[tuple[int, int], ScanRecord] = {}
     records_path = None
@@ -395,31 +394,3 @@ def scan(
         new_records=tuple(new_records),
     )
 
-
-# --- structured enumeration ------------------------------------------------
-
-
-def enumerate_structured(bound: int) -> Iterator[Candidate]:
-    """Every candidate 5^(2a) * Q^2 <= bound, ascending by value.
-
-    Q runs over odd integers coprime to 15 (including 1); each admissible a
-    contributes one ascending stream and the streams merge by value. The
-    5-adic valuation pins a, so no value appears twice.
-    """
-    if bound < 25:
-        raise ValueError(f"bound must be at least 25, got {bound}")
-
-    def stream(a: int) -> Iterator[Candidate]:
-        base = 5 ** (2 * a)
-        q = 1
-        while base * q * q <= bound:
-            if q % 3 != 0 and q % 5 != 0:
-                yield Candidate(a=a, q_factorization=factorize(q))
-            q += 2
-
-    streams = []
-    a = 1
-    while 5 ** (2 * a) <= bound:
-        streams.append(stream(a))
-        a += 1
-    return merge(*streams, key=lambda c: c.value)

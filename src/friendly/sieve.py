@@ -26,8 +26,8 @@ point.
 The base primes are sieved once per process, for the highest segment seen
 or the bound given to ``cover``, and sliced for lower segments.
 
-The matcher compares den * sigma(n) with num * n only where it can hold:
-at the multiples of den / gcd(num, den).
+The matcher compares sigma(n) with num * n / den at the multiples of
+den / gcd(num, den) only, in wrapping uint64; callers re-verify its hits.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["MAX_SEGMENT", "SieveBudgetError", "cover", "index_hits", "sigma_range"]
+__all__ = ["MAX_SEGMENT", "SieveBudgetError", "check_height", "cover", "index_hits", "sigma_range"]
 
 MAX_SEGMENT = 1 << 24
 # Robin (1984): sigma(n)/n < e^gamma ln ln n + 0.6483 / ln ln n for n >= 3,
@@ -48,7 +48,7 @@ MAX_SEGMENT = 1 << 24
 # partial product in smooth divide n, the quotient n // smooth and its
 # successor are <= n + 1, a running sum acc <= sigma(p^e), and every partial
 # product in sig <= sigma(n). Scatter index arithmetic stays below 2^45, and
-# the square of a base prime below 2^50.
+# the square of a base prime below 2^50. Only the sieve relies on this bound.
 _VALUE_LIMIT = 1 << 50
 # Values sieved at a time: 1 MB of int64, so block scratch stays in cache.
 _BLOCK = 1 << 17
@@ -59,8 +59,6 @@ _STRIDED_MULTIPLES = 128
 _WHEEL_POWERS = ((2, 5), (3, 3), (5, 2))
 # Primes per scatter batch; bounds its arrays by about 2^19 entries.
 _BATCH_PRIMES = 4096
-# index_hits compares den * sigma(n) with num * n in int64 below this.
-_I64_GUARD = 1 << 62
 
 # (limit, the primes <= limit): replaced whole under the lock, never mutated.
 _base: tuple[int, np.ndarray] = (1, np.empty(0, dtype=np.int64))
@@ -83,8 +81,7 @@ def sigma_range(lo: int, hi: int, *, max_elements: int = MAX_SEGMENT) -> np.ndar
         raise SieveBudgetError(
             f"segment of {hi - lo} elements exceeds budget of {max_elements}"
         )
-    if hi - 1 > _VALUE_LIMIT:
-        raise SieveBudgetError(f"values past {_VALUE_LIMIT} would overflow the sieve")
+    check_height(hi)
 
     size = hi - lo
     block = min(size, _BLOCK)
@@ -139,6 +136,12 @@ def sigma_range(lo: int, hi: int, *, max_elements: int = MAX_SEGMENT) -> np.ndar
         rest += rest != 1
         part *= rest
     return sig
+
+
+def check_height(hi: int) -> None:
+    """Raise SieveBudgetError unless every value below hi is low enough to sieve."""
+    if hi - 1 > _VALUE_LIMIT:
+        raise SieveBudgetError(f"values past {_VALUE_LIMIT} would overflow the sieve")
 
 
 def cover(hi: int) -> None:
@@ -264,20 +267,16 @@ def index_hits(sig: np.ndarray, lo: int, num: int, den: int) -> list[int]:
     """Every n in [lo, lo + len(sig)) with den * sig[n - lo] == num * n, ascending.
 
     ``sig`` is sigma over that segment, as ``sigma_range`` returns it, so
-    the hits are the values of abundancy index num/den.
+    the hits are the values of abundancy index num/den. The test wraps in
+    uint64: it misses no hit, but where num * n / den passes 2^64 a value
+    can match mod 2^64 only, so callers re-verify hits exactly.
     """
-    hi = lo + len(sig)
-    # den * sigma(n) == num * n makes den / gcd(num, den) divide n, so only
-    # those n are compared.
-    step = den // math.gcd(num, den)
-    start = -lo % step
-    sub = sig[start::step]
-    if not len(sub):
-        return []
-    # Vectorized only while int64 cannot overflow.
-    if den * int(sub.max()) < _I64_GUARD and num * (hi - 1) < _I64_GUARD:
-        # In place, so sub * den is the only other stride-sized temporary.
-        scaled = np.arange(lo + start, hi, step, dtype=np.int64)
-        scaled *= num
-        return [lo + start + step * int(j) for j in np.flatnonzero(sub * den == scaled)]
-    return [n for n, s in zip(range(lo + start, hi, step), sub.tolist()) if s * den == n * num]
+    # den * sigma(n) == num * n makes step = den / g divide n, and for
+    # n = step * k it reads sigma(n) == k * (num / g).
+    g = math.gcd(num, den)
+    step = den // g
+    first = -(-lo // step)  # the least k with step * k >= lo
+    sub = sig[first * step - lo :: step].view(np.uint64)
+    want = np.arange(first, first + len(sub), dtype=np.uint64)
+    want *= np.uint64(num // g % (1 << 64))
+    return [step * (first + int(j)) for j in np.flatnonzero(sub == want)]

@@ -1,6 +1,7 @@
 """Index algebra, friend detection, and solitary certificates."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from friendly.abundancy import (
     solitary_certificate,
 )
 from friendly.arith import factorize
+from friendly.sieve import SieveBudgetError
 
 
 def divisor_sum(n):
@@ -104,6 +106,7 @@ def test_find_friends_bound_is_inclusive():
     assert find_friends(6, 28) == [28]
     assert find_friends(6, 27) == []
     assert find_friends(6, 28, segment_size=14) == [28]  # bound ends a segment
+    assert find_friends(6, 0) == find_friends(6, -5) == []
 
 
 def test_find_friends_matches_brute_force():
@@ -120,6 +123,14 @@ def test_find_friends_excludes_self_and_validates():
     assert 6 not in find_friends(6, 10000)
     with pytest.raises(ValueError):
         find_friends(0, 10)
+
+
+def test_find_friends_past_the_sieve_limit_fails_fast():
+    # A segment as wide as the bound: the check must come before any sieving.
+    started = time.perf_counter()
+    with pytest.raises(SieveBudgetError, match="overflow"):
+        find_friends(6, 2 ** 50 + 1, segment_size=1 << 40)
+    assert time.perf_counter() - started < 1
 
 
 # --- solitary certificates ----------------------------------------------------

@@ -169,12 +169,27 @@ def test_usage_error_exit_2(run_cli):
 
 
 def test_zero_index_denominator_is_usage_error(run_cli):
-    flag = run_cli("scan", "--bound", "100", "--index", "9/0")
-    env = run_cli("scan", "--bound", "100", env={"FRIENDLY_INDEX": "9/0"})
-    for result in (flag, env):
-        assert result.returncode == 2
+    # A zero or negative index is refused like a zero denominator.
+    for index in ("9/0", "0/1", "-9/5", "0/3"):
+        flag = run_cli("scan", "--bound", "100", f"--index={index}")
+        env = run_cli("scan", "--bound", "100", env={"FRIENDLY_INDEX": index})
+        for result in (flag, env):
+            assert result.returncode == 2, index
+            assert "Traceback" not in result.stderr
+            assert index in result.stderr
+
+
+def test_bound_past_the_sieve_limit_is_domain_error(run_cli, tmp_path):
+    checkpoint = tmp_path / "scan.checkpoint"
+    scanned = run_cli(
+        "scan", "--bound", "2^51", "--index", "9/5", "--resume", str(checkpoint), timeout=60
+    )
+    friends = run_cli("friends", "6", "--bound", "2^51", timeout=60)
+    for result in (scanned, friends):
+        assert result.returncode == 1
+        assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
-        assert "9/0" in result.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_domain_error_exit_1(run_cli):

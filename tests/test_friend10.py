@@ -34,7 +34,7 @@ from friendly.friend10 import (
     smallest_odd_f,
     structural_precheck,
 )
-from friendly.scan import enumerate_structured
+from friendly.friend10 import enumerate_structured
 
 
 def candidate(a, q=1, exponents=None):

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import random
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -14,6 +15,7 @@ import pytest
 
 from friendly import sieve
 from friendly.arith import factorize, sigma
+from friendly.friend10 import enumerate_structured
 from friendly.scan import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -22,7 +24,6 @@ from friendly.scan import (
     CheckpointVersionError,
     checkpoint_load,
     checkpoint_save,
-    enumerate_structured,
     read_records,
     scan,
     scan_range,
@@ -185,12 +186,26 @@ def test_index_hits_overflow_path_agrees_with_vectorized_path():
 def test_index_hits_matches_a_filter_of_the_whole_segment(lo):
     values = sigma_range(lo, 10 ** 5)
     sigmas = values.tolist()
-    for num, den in [(9, 5), (18, 10), (6, 4), (4, 2), (3, 2), (7, 3)]:
-        brute = [n for n, s in enumerate(sigmas, lo) if den * s == num * n]
-        assert index_hits(values, lo, num, den) == brute, (num, den)
+    targets = [(9, 5), (18, 10), (6, 4), (4, 2), (3, 2), (7, 3)]
+    # Numerators past int64; for the second, every k * num / g wraps in uint64.
+    targets += [(2 ** 61 + 1, 2 ** 60), (2 ** 65 - 1, 3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns when an integer scalar wraps
+        for num, den in targets:
+            brute = [n for n, s in enumerate(sigmas, lo) if den * s == num * n]
+            assert index_hits(values, lo, num, den) == brute, (num, den)
     assert index_hits(values, lo, 9, 5) == ([10] if lo <= 10 else [])
     # [11, 14) holds no multiple of 5, so nothing is compared.
     assert index_hits(sigma_range(11, 14), 11, 9, 5) == []
+
+
+def test_index_hits_false_positive_is_dropped_by_reverification():
+    # 5 * 2^64 + 9 is 9 mod 2^64, so the wrapping matcher takes sigma(10) = 9 * 2
+    # for a hit; only the exact re-verification tells the indices apart.
+    target = Fraction(5 * 2 ** 64 + 9, 5)
+    assert index_hits(sigma_range(1, 100), 1, target.numerator, target.denominator) == [10]
+    assert scan_range(1, 100, target).hits == ()
+    assert scan(100, target).hits == ()
 
 
 # --- scan_range -----------------------------------------------------------------
@@ -234,6 +249,16 @@ def test_segment_grid_covers_exactly():
         assert a_hi == b_lo
     with pytest.raises(ValueError):
         segment_grid(1, 2 ** 16)
+
+
+def test_scan_past_the_sieve_limit_fails_before_any_file(tmp_path):
+    checkpoint = tmp_path / "scan.checkpoint"
+    started = time.perf_counter()
+    # Two segments, so a check made only when a segment is sieved comes too late.
+    with pytest.raises(SieveBudgetError, match="overflow"):
+        scan(2 ** 50 + 2, Fraction(9, 5), segment_size=1 << 50, checkpoint_path=checkpoint)
+    assert time.perf_counter() - started < 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_deterministic_across_worker_counts():
