@@ -279,10 +279,6 @@ def _sigma_q_squared_mod(c: Candidate, mod: int) -> int:
     return out
 
 
-def _sigma_candidate_mod(c: Candidate, mod: int) -> int:
-    return _geom_sum_mod(5, 2 * c.a + 1, mod) * _sigma_q_squared_mod(c, mod) % mod
-
-
 def nine_exact_divisibility(c: Candidate) -> bool:
     """True iff 9 divides sigma(F) and 27 does not.
 
@@ -290,8 +286,14 @@ def nine_exact_divisibility(c: Candidate) -> bool:
     F itself is never factored (it may be far beyond any factoring budget
     even when its structure is known).
     """
-    m = _sigma_candidate_mod(c, 27)
-    return m % 9 == 0 and m != 0
+    return _nine_exact_rule(c).verdict is Verdict.PASS
+
+
+def _exponent_filter(c: Candidate, rule: str, residue: int, modulus: int) -> RuleResult:
+    for i, e in enumerate(c.half_exponents):
+        if e % modulus != residue:
+            return RuleResult(rule, Verdict.PASS, f"a_{i + 1} = {e} is not {residue} mod {modulus}")
+    return RuleResult(rule, Verdict.REJECT, f"every half-exponent is {residue} mod {modulus}")
 
 
 def exponent_filter_mod3(c: Candidate) -> RuleResult:
@@ -301,17 +303,7 @@ def exponent_filter_mod3(c: Candidate) -> RuleResult:
     three factors of 3 onto sigma(F) and breaking the exact-9 requirement,
     so no friend of 10 can look like that.
     """
-    exps = c.half_exponents
-    for i, e in enumerate(exps):
-        if e % 3 != 1:
-            return RuleResult(
-                "exponent_mod3",
-                Verdict.PASS,
-                f"a_{i + 1} = {e} is not 1 mod 3",
-            )
-    return RuleResult(
-        "exponent_mod3", Verdict.REJECT, "every half-exponent is 1 mod 3"
-    )
+    return _exponent_filter(c, "exponent_mod3", 1, 3)
 
 
 def exponent_filter_mod27(c: Candidate) -> RuleResult:
@@ -320,17 +312,7 @@ def exponent_filter_mod27(c: Candidate) -> RuleResult:
     Implied by the mod-3 rule (13 ≡ 1 mod 3) but kept as an independent
     cross-check of the coarser filter.
     """
-    exps = c.half_exponents
-    for i, e in enumerate(exps):
-        if e % 27 != 13:
-            return RuleResult(
-                "exponent_mod27",
-                Verdict.PASS,
-                f"a_{i + 1} = {e} is not 13 mod 27",
-            )
-    return RuleResult(
-        "exponent_mod27", Verdict.REJECT, "every half-exponent is 13 mod 27"
-    )
+    return _exponent_filter(c, "exponent_mod27", 13, 27)
 
 
 def congruence_sum_check(c: Candidate) -> RuleResult:
@@ -480,7 +462,7 @@ def _prime_support_rule(c: Candidate) -> RuleResult:
 
 
 def _nine_exact_rule(c: Candidate) -> RuleResult:
-    m = _sigma_candidate_mod(c, 27)
+    m = _geom_sum_mod(5, 2 * c.a + 1, 27) * _sigma_q_squared_mod(c, 27) % 27
     if m % 9 == 0 and m != 0:
         return RuleResult("nine_exact", Verdict.PASS, f"sigma(F) ≡ {m} (mod 27)")
     return RuleResult(

@@ -1,14 +1,14 @@
 """Segmented, resumable, parallel scanning for a target abundancy index.
 
-A scan covers [1, bound) with disjoint fixed-grid segments. Workers share
-nothing; each segment independently produces a ScanRecord, and records are
-merged by position, so any interleaving of any number of workers yields
-byte-identical final output. A resumable scan keeps two files: a checkpoint
-holding only the run's parameters, written once when the run starts, and a
-JSON-lines records file to which each completed segment appends its record.
-The records file is the only account of progress: a resume rescans exactly
-the segments without a whole line in it, including one whose last line a
-crash cut short.
+A scan covers [1, bound) with disjoint fixed-grid segments, each computed
+from its index. Workers share nothing; each segment independently produces a
+ScanRecord, and records are folded into running totals as they arrive, so
+any interleaving of any number of workers yields byte-identical final
+output. A resumable scan keeps two files: a checkpoint holding only the
+run's parameters, written once when the run starts, and a JSON-lines records
+file to which each completed segment appends its record. The records file
+is the only account of progress: a resume rescans exactly the segments
+without a whole line in it, including one whose last line a crash cut short.
 """
 
 from __future__ import annotations
@@ -89,7 +89,14 @@ class ScanRecord:
     checksum: int  # sum of sigma(n) over the segment, mod 2^64
 
 
-def scan_range(lo: int, hi: int, target: Fraction, *, max_elements: int = sieve.MAX_SEGMENT) -> ScanRecord:
+def _positive(target: Fraction) -> Fraction:
+    target = Fraction(target)
+    if target <= 0:
+        raise ValueError("target index must be positive")
+    return target
+
+
+def scan_range(lo: int, hi: int, target: Fraction) -> ScanRecord:
     """Scan [lo, hi) for values with abundancy index equal to ``target``.
 
     The segment's sigma values come from the batched sieve; any hit is
@@ -99,11 +106,9 @@ def scan_range(lo: int, hi: int, target: Fraction, *, max_elements: int = sieve.
     """
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    target = Fraction(target)
-    if target <= 0:
-        raise ValueError("target index must be positive")
+    target = _positive(target)
     started = time.perf_counter()
-    sig = sieve.sigma_range(lo, hi, max_elements=max_elements)
+    sig = sieve.sigma_range(lo, hi)
     num, den = target.numerator, target.denominator
     raw = sieve.index_hits(sig, lo, num, den)
     hits = tuple(h for h in raw if sigma(factorize(h)) * den == h * num)
@@ -240,23 +245,18 @@ def checkpoint_load(path: Union[str, Path]) -> Checkpoint:
 # --- the driver ------------------------------------------------------------
 
 
-def segment_grid(bound: int, segment_size: int) -> list[tuple[int, int]]:
-    """Disjoint segments covering exactly [1, bound)."""
+def _starts(bound: int, segment_size: int) -> range:
+    """Where each segment starts; the one at lo ends at min(lo + segment_size, bound)."""
     if bound < 2:
         raise ValueError(f"bound must be >= 2 to scan [1, bound), got {bound}")
     if segment_size < 1:
         raise ValueError("segment_size must be positive")
-    return [(lo, min(lo + segment_size, bound)) for lo in range(1, bound, segment_size)]
+    return range(1, bound, segment_size)
 
 
-def _frontier(done: dict[tuple[int, int], ScanRecord], grid: list[tuple[int, int]]) -> int:
-    edge = 1
-    for seg in grid:
-        if seg in done and seg[0] == edge:
-            edge = seg[1]
-        else:
-            break
-    return edge
+def segment_grid(bound: int, segment_size: int) -> list[tuple[int, int]]:
+    """Disjoint segments covering exactly [1, bound)."""
+    return [(lo, min(lo + segment_size, bound)) for lo in _starts(bound, segment_size)]
 
 
 @dataclass(frozen=True)
@@ -298,13 +298,30 @@ def scan(
     which segments are done, so a resumed run never rescans them and still
     reports global hits and checksums. All writes happen in this process,
     regardless of worker count. ``max_segments`` caps how many segments
-    this call processes, which makes interruption testable.
+    this call processes, which makes interruption testable, and
+    ``new_records`` holds the records of only the segments this call scanned.
+    Segments are computed from their index and every record is folded into
+    the totals as it arrives, so besides ``new_records`` the driver keeps per
+    segment only its start, once done, and its hits. A bound too high or a
+    segment too wide to sieve, and a target <= 0, are refused before any
+    file is made.
     """
-    target = Fraction(target)
-    # Refused before the grid or any file is made: no segment could be sieved.
+    target = _positive(target)
     sieve.check_height(bound)
-    grid = segment_grid(bound, segment_size)
-    done: dict[tuple[int, int], ScanRecord] = {}
+    starts = _starts(bound, segment_size)
+    sieve.check_width(min(segment_size, bound - 1))
+
+    done: set[int] = set()
+    hits: list[int] = []
+    scanned_count = checksum = 0
+
+    def tally(rec: ScanRecord) -> None:
+        nonlocal scanned_count, checksum
+        done.add(rec.lo)
+        hits.extend(rec.hits)
+        scanned_count += rec.scanned_count
+        checksum = (checksum + rec.checksum) & _U64
+
     records_path = None
     if checkpoint_path is not None:
         records_path = str(checkpoint_path) + ".records"
@@ -315,24 +332,22 @@ def scan(
                 raise CheckpointMismatchError(
                     f"{checkpoint_path}: written for {stored}, not {params}; refusing to resume"
                 )
+            # read_records keeps one record per segment, so none is tallied twice.
             for rec in read_records(records_path):
-                seg = (rec.lo, rec.hi)
-                k = (rec.lo - 1) // segment_size  # the position seg must have in the grid
-                if rec.target_index != target or not (0 <= k < len(grid) and grid[k] == seg):
+                stray = rec.lo not in starts or rec.hi != min(rec.lo + segment_size, bound)
+                if stray or rec.target_index != target:
                     raise CheckpointCorruptError(
                         records_path,
                         f"record [{rec.lo}, {rec.hi}) for index "
                         f"{_fraction_str(rec.target_index)} is not a segment of this scan",
                     )
-                done[seg] = rec
+                tally(rec)
         else:
             open(records_path, "wb").close()
             checkpoint_save(checkpoint_path, params)
 
-    todo = [seg for seg in grid if seg not in done]
-    if max_segments is not None:
-        todo = todo[:max_segments]
-
+    segments = ((lo, min(lo + segment_size, bound)) for lo in starts if lo not in done)
+    todo = islice(segments, max_segments)
     new_records: list[ScanRecord] = []
     records_fh = open(records_path, "a+b") if records_path else None
     try:
@@ -344,7 +359,7 @@ def scan(
             records_fh.truncate(whole)
 
         def complete(rec: ScanRecord) -> None:
-            done[(rec.lo, rec.hi)] = rec
+            tally(rec)
             new_records.append(rec)
             if records_fh is not None:
                 records_fh.write(record_to_json(rec).encode("utf-8") + b"\n")
@@ -357,13 +372,12 @@ def scan(
         else:
             # At most 2 * workers segments in flight, so the pool's queue
             # stays small however long the grid is.
-            segments = iter(todo)
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=sieve.cover, initargs=(bound,)
             ) as pool:
                 pending: set = set()
                 while True:
-                    for lo, hi in islice(segments, 2 * workers - len(pending)):
+                    for lo, hi in islice(todo, 2 * workers - len(pending)):
                         pending.add(
                             pool.submit(
                                 _scan_segment_task, lo, hi, target.numerator, target.denominator
@@ -378,19 +392,17 @@ def scan(
         if records_fh is not None:
             records_fh.close()
 
-    ordered = sorted(done.values(), key=lambda r: r.lo)
-    hits = tuple(sorted(h for rec in ordered for h in rec.hits))
     return ScanOutcome(
         target_index=target,
         bound=bound,
         segment_size=segment_size,
-        complete=len(done) == len(grid),
-        frontier=_frontier(done, grid),
-        hits=hits,
-        scanned_count=sum(rec.scanned_count for rec in ordered),
-        checksum=sum(rec.checksum for rec in ordered) & _U64,
+        complete=len(done) == len(starts),
+        # The first segment not done lies within the first len(done) + 1 starts.
+        frontier=next((lo for lo in starts if lo not in done), bound),
+        hits=tuple(sorted(hits)),
+        scanned_count=scanned_count,
+        checksum=checksum,
         segments_done=len(done),
-        segments_total=len(grid),
+        segments_total=len(starts),
         new_records=tuple(new_records),
     )
-

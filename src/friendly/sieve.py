@@ -38,7 +38,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["MAX_SEGMENT", "SieveBudgetError", "check_height", "cover", "index_hits", "sigma_range"]
+__all__ = ["MAX_SEGMENT", "SieveBudgetError", "check_height", "check_width", "cover", "index_hits", "sigma_range"]
 
 MAX_SEGMENT = 1 << 24
 # Robin (1984): sigma(n)/n < e^gamma ln ln n + 0.6483 / ln ln n for n >= 3,
@@ -77,10 +77,7 @@ def sigma_range(lo: int, hi: int, *, max_elements: int = MAX_SEGMENT) -> np.ndar
     """
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    if hi - lo > max_elements:
-        raise SieveBudgetError(
-            f"segment of {hi - lo} elements exceeds budget of {max_elements}"
-        )
+    check_width(hi - lo, max_elements)
     check_height(hi)
 
     size = hi - lo
@@ -142,6 +139,12 @@ def check_height(hi: int) -> None:
     """Raise SieveBudgetError unless every value below hi is low enough to sieve."""
     if hi - 1 > _VALUE_LIMIT:
         raise SieveBudgetError(f"values past {_VALUE_LIMIT} would overflow the sieve")
+
+
+def check_width(size: int, max_elements: int = MAX_SEGMENT) -> None:
+    """Raise SieveBudgetError if a segment of size values is too wide to sieve."""
+    if size > max_elements:
+        raise SieveBudgetError(f"segment of {size} elements exceeds budget of {max_elements}")
 
 
 def cover(hi: int) -> None:

@@ -192,6 +192,17 @@ def test_bound_past_the_sieve_limit_is_domain_error(run_cli, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_segment_past_the_sieve_budget_is_domain_error(run_cli, tmp_path):
+    checkpoint = tmp_path / "cp"
+    result = run_cli(
+        "scan", "--bound", "10^8", "--index", "9/5", "--segment-size", "2^25", "--resume", str(checkpoint)
+    )
+    assert result.returncode == 1
+    assert "exceeds budget" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_domain_error_exit_1(run_cli):
     result = run_cli("sigma", "0")
     assert result.returncode == 1

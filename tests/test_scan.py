@@ -22,6 +22,7 @@ from friendly.scan import (
     CheckpointCorruptError,
     CheckpointMismatchError,
     CheckpointVersionError,
+    DEFAULT_SEGMENT_SIZE,
     checkpoint_load,
     checkpoint_save,
     read_records,
@@ -261,6 +262,43 @@ def test_scan_past_the_sieve_limit_fails_before_any_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_scan_refuses_a_wide_segment_or_bad_target_before_any_file(tmp_path):
+    checkpoint = tmp_path / "scan.checkpoint"
+    with pytest.raises(SieveBudgetError, match="exceeds budget"):
+        scan(10 ** 8, Fraction(9, 5), segment_size=1 << 25, checkpoint_path=checkpoint)
+    for target in (Fraction(-1), Fraction(0)):
+        with pytest.raises(ValueError, match="positive"):
+            scan(100, target, checkpoint_path=checkpoint)
+    assert list(tmp_path.iterdir()) == []
+    # A segment is only as wide as the values it covers.
+    assert scan(1000, Fraction(2), segment_size=1 << 40).hits == (6, 28, 496)
+
+
+def test_one_segment_of_a_long_grid_needs_no_memory_for_the_grid():
+    tracemalloc.start()
+    try:
+        outcome = scan(2 ** 40, Fraction(9, 5), max_segments=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak
+    assert outcome.segments_total == 2 ** 20
+    assert outcome.segments_done == 1 and outcome.frontier == 2 ** 20 + 1
+    assert outcome.hits == (10,)
+
+
+def test_a_scan_up_to_the_sieve_limit_starts_and_resumes(tmp_path):
+    path = tmp_path / "scan.checkpoint"
+    bound, seg = 2 ** 50 + 1, DEFAULT_SEGMENT_SIZE
+    first = scan(bound, Fraction(9, 5), checkpoint_path=path, max_segments=1)
+    second = scan(bound, Fraction(9, 5), checkpoint_path=path, max_segments=1)
+    assert (tmp_path / "scan.checkpoint.records").read_bytes().count(b"\n") == 2
+    assert first.frontier == 1 + seg and second.frontier == 1 + 2 * seg
+    assert second.segments_done == 2 and second.segments_total == 2 ** 30
+    assert [(r.lo, r.hi) for r in second.new_records] == [(1 + seg, 1 + 2 * seg)]
+    assert second.hits == (10,) and not second.complete
+
+
 def test_scan_deterministic_across_worker_counts():
     solo = scan(200_000, Fraction(9, 5), workers=1, segment_size=1 << 15)
     multi = scan(200_000, Fraction(9, 5), workers=3, segment_size=1 << 15)
@@ -418,6 +456,24 @@ def test_resumed_totals_match_a_fresh_run(tmp_path):
     assert resumed.hits == fresh.hits
     assert resumed.checksum == fresh.checksum
     assert resumed.scanned_count == fresh.scanned_count
+
+
+def test_pooled_records_out_of_grid_order_resume_to_a_fresh_runs_totals(tmp_path):
+    path = tmp_path / "scan.checkpoint"
+    records = tmp_path / "scan.checkpoint.records"
+    bound, seg, target = 2 ** 50 + 1, 1 << 16, Fraction(2)
+    scan(bound, target, workers=2, segment_size=seg, checkpoint_path=path, max_segments=5)
+    lines = records.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 5
+    # The pool appends records in the order they finish; descending, they are surely out of grid order.
+    records.write_bytes(b"".join(sorted(lines, key=lambda line: -int(json.loads(line)["lo"]))))
+    resumed = scan(bound, target, workers=1, segment_size=seg, checkpoint_path=path, max_segments=3)
+    fresh = scan(bound, target, segment_size=seg, max_segments=8)
+    assert resumed.hits == fresh.hits == (6, 28, 496, 8128)
+    assert resumed.checksum == fresh.checksum
+    assert resumed.scanned_count == fresh.scanned_count == 8 * seg
+    assert resumed.frontier == fresh.frontier == 1 + 8 * seg
+    assert resumed.segments_done == fresh.segments_done == 8
 
 
 def test_resume_after_a_crash_at_every_byte_of_the_records_file(tmp_path):
