@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .arith import Factorization, factorize, is_prime, sigma
-from .scan import DEFAULT_SEGMENT_SIZE, scan
+from .scan import scan
 
 __all__ = [
     "FriendPair",
@@ -67,7 +67,7 @@ def are_friends(m: int, n: int) -> bool:
     return m != n and abundancy_index(m) == abundancy_index(n)
 
 
-def find_friends(n: int, bound: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[int]:
+def find_friends(n: int, bound: int) -> list[int]:
     """Every m <= bound, m != n, with m's index equal to n's, ascending.
 
     A ``scan`` of [1, bound], so each sieve hit is re-verified exactly. A
@@ -77,7 +77,7 @@ def find_friends(n: int, bound: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE
         raise ValueError("n must be positive")
     if bound < 1:
         return []
-    outcome = scan(bound + 1, abundancy_index(n), segment_size=segment_size)
+    outcome = scan(bound + 1, abundancy_index(n))
     return [m for m in outcome.hits if m != n]
 
 

@@ -77,12 +77,13 @@ def _miller_rabin(n: int, bases: Iterable[int]) -> bool:
     return True
 
 
-def is_prime(n: int, *, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
+def is_prime(n: int) -> bool:
     """Primality test: exact below 2^64, Miller-Rabin above.
 
-    Below 2^64 a fixed witness set decides exactly. At or above, ``rounds``
-    extra pseudorandom witnesses (seeded by n, so results are reproducible)
-    bound the false-positive probability by 4**-rounds.
+    Below 2^64 a fixed witness set decides exactly. At or above,
+    DEFAULT_MR_ROUNDS extra pseudorandom witnesses (seeded by n, so results
+    are reproducible) bound the false-positive probability by
+    4**-DEFAULT_MR_ROUNDS.
     """
     if n < 2:
         return False
@@ -94,7 +95,7 @@ def is_prime(n: int, *, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     if n < _DETERMINISTIC_LIMIT:
         return _miller_rabin(n, _WITNESSES)
     rng = random.Random(n)
-    extra = tuple(rng.randrange(2, n - 1) for _ in range(rounds))
+    extra = tuple(rng.randrange(2, n - 1) for _ in range(DEFAULT_MR_ROUNDS))
     return _miller_rabin(n, _WITNESSES + extra)
 
 
@@ -112,7 +113,6 @@ def _eratosthenes(limit: int) -> tuple[int, ...]:
 _sieve_lock = threading.Lock()
 _sieve_limit = 0
 _sieve_primes: tuple[int, ...] = ()
-_slice_memo: dict[int, tuple[int, ...]] = {}
 
 
 def _grow_sieve(limit: int) -> tuple[int, ...]:
@@ -124,20 +124,13 @@ def _grow_sieve(limit: int) -> tuple[int, ...]:
                 new_limit = max(limit, 2 * _sieve_limit, 1 << 16)
                 _sieve_primes = _eratosthenes(new_limit)
                 _sieve_limit = new_limit
-                _slice_memo.clear()
     return _sieve_primes
 
 
 def primes_below(limit: int) -> tuple[int, ...]:
     """All primes < limit, served from a grow-only cached sieve."""
     primes = _grow_sieve(limit)
-    if not primes or primes[-1] < limit:
-        return primes
-    cut = _slice_memo.get(limit)
-    if cut is None:
-        cut = primes[: bisect.bisect_left(primes, limit)]
-        _slice_memo[limit] = cut
-    return cut
+    return primes[: bisect.bisect_left(primes, limit)]
 
 
 @dataclass(frozen=True)

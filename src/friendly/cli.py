@@ -19,12 +19,12 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .abundancy import abundancy_index, find_friends, solitary_certificate
 from .arith import FactoringBudgetError, Factorization, factorize, sigma
 from .friend10 import Candidate, derive_residue_class, filter_chain
-from .scan import DEFAULT_SEGMENT_SIZE, CheckpointError, scan
+from .scan import DEFAULT_SEGMENT_SIZE, CheckpointError, _fraction_str, scan
 from .sieve import SieveBudgetError
 from .verify import SUITE_NAMES, run_suites
 
@@ -89,53 +89,16 @@ def parse_q_factors(text: str) -> Factorization:
     return Factorization(tuple(sorted(pairs)))
 
 
-def _parse_bool(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
+def _option(parser: argparse.ArgumentParser, flag: str, *, required: bool = False, **kwargs) -> None:
+    """Add one flag whose FRIENDLY_<NAME> variable, when set, is its default.
 
-
-class _Option:
-    """One flag with an environment fallback."""
-
-    def __init__(
-        self,
-        dest: str,
-        parse: Callable[[str], object],
-        *,
-        required: bool = False,
-        default: object = None,
-    ):
-        self.dest = dest
-        self.parse = parse
-        self.required = required
-        self.default = default
-
-    @property
-    def env_key(self) -> str:
-        return ENV_PREFIX + self.dest.upper()
-
-    @property
-    def flag(self) -> str:
-        return "--" + self.dest.replace("_", "-")
-
-
-def _resolve_options(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> None:
-    for opt in getattr(ns, "options", ()):
-        if getattr(ns, opt.dest) is not None:
-            continue
-        raw = os.environ.get(opt.env_key)
-        if raw is not None:
-            try:
-                setattr(ns, opt.dest, opt.parse(raw))
-            except (ValueError, ZeroDivisionError) as exc:
-                parser.error(f"bad {opt.env_key}={raw!r}: {exc}")
-        elif opt.required:
-            parser.error(f"{opt.flag} is required (or set {opt.env_key})")
-        else:
-            setattr(ns, opt.dest, opt.default)
-
-
-def _str_fraction(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    argparse parses a string default with the flag's type, and only when the
+    flag is absent, so flags win and a bad variable is a usage error.
+    """
+    raw = os.environ.get(ENV_PREFIX + flag[2:].replace("-", "_").upper())
+    if raw is not None:
+        kwargs["default"] = raw
+    parser.add_argument(flag, required=required and raw is None, **kwargs)
 
 
 # --- handlers ---------------------------------------------------------------
@@ -156,8 +119,8 @@ def _cmd_index(ns):
     value = abundancy_index(ns.n)
     return (
         {"n": str(ns.n)},
-        {"index": _str_fraction(value)},
-        [f"I({ns.n}) = {_str_fraction(value)}"],
+        {"index": _fraction_str(value)},
+        [f"I({ns.n}) = {_fraction_str(value)}"],
         0,
     )
 
@@ -230,7 +193,7 @@ def _cmd_scan(ns):
     )
     inputs = {
         "bound": str(ns.bound),
-        "index": _str_fraction(ns.index),
+        "index": _fraction_str(ns.index),
         "workers": str(ns.workers),
         "segment_size": str(ns.segment_size),
     }
@@ -238,7 +201,7 @@ def _cmd_scan(ns):
         inputs["resume"] = str(ns.resume)
     listing = "[" + ", ".join(str(h) for h in outcome.hits) + "]"
     lines = [
-        f"scanned [1, {outcome.bound}) for index {_str_fraction(outcome.target_index)}",
+        f"scanned [1, {outcome.bound}) for index {_fraction_str(outcome.target_index)}",
         f"segments: {outcome.segments_done}/{outcome.segments_total}",
         f"scanned_count: {outcome.scanned_count}",
         f"checksum: {outcome.checksum}",
@@ -250,7 +213,7 @@ def _cmd_scan(ns):
         inputs,
         {
             "bound": str(outcome.bound),
-            "index": _str_fraction(outcome.target_index),
+            "index": _fraction_str(outcome.target_index),
             "hits": [str(h) for h in outcome.hits],
             "scanned_count": str(outcome.scanned_count),
             "checksum": str(outcome.checksum),
@@ -303,58 +266,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, handler, options: tuple[_Option, ...]):
-        p.add_argument("--json", action="store_const", const=True, default=None,
+    env_json = os.environ.get(ENV_PREFIX + "JSON", "").strip().lower() in ("1", "true", "yes", "on")
+
+    def common(p: argparse.ArgumentParser, handler) -> None:
+        p.add_argument("--json", action="store_true", default=env_json,
                        help="emit a JSON envelope instead of the report")
-        p.set_defaults(handler=handler, options=options + (_Option("json", _parse_bool, default=False),))
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("sigma", help="sum of divisors of N")
     p.add_argument("n", type=parse_natural)
-    common(p, _cmd_sigma, ())
+    common(p, _cmd_sigma)
 
     p = sub.add_parser("index", help="abundancy index sigma(N)/N as an exact ratio")
     p.add_argument("n", type=parse_natural)
-    common(p, _cmd_index, ())
+    common(p, _cmd_index)
 
     p = sub.add_parser("friends", help="all friends of N up to a bound")
     p.add_argument("n", type=parse_natural)
-    p.add_argument("--bound", type=parse_natural, default=None)
-    common(p, _cmd_friends, (_Option("bound", parse_natural, required=True),))
+    _option(p, "--bound", type=parse_natural, required=True)
+    common(p, _cmd_friends)
 
     p = sub.add_parser("solitary", help="gcd-based solitary certificate for N")
     p.add_argument("n", type=parse_natural)
-    common(p, _cmd_solitary, ())
+    common(p, _cmd_solitary)
 
     p = sub.add_parser("check", help="run the filter chain on a structured candidate")
-    p.add_argument("--a", type=parse_natural, default=None, help="half-exponent of 5")
-    p.add_argument("--q-factors", dest="q_factors", type=parse_q_factors, default=None,
-                   help="factorization of Q as P1^E1,P2^E2,... (empty for Q = 1)")
-    common(p, _cmd_check, (
-        _Option("a", parse_natural, required=True),
-        _Option("q_factors", parse_q_factors, default=Factorization(())),
-    ))
+    _option(p, "--a", type=parse_natural, required=True, help="half-exponent of 5")
+    _option(p, "--q-factors", type=parse_q_factors, default=Factorization(()),
+            help="factorization of Q as P1^E1,P2^E2,... (empty for Q = 1)")
+    common(p, _cmd_check)
 
     p = sub.add_parser("derive", help="residue class every friend of 10 with this a must hit")
-    p.add_argument("--a", type=parse_natural, default=None)
-    common(p, _cmd_derive, (_Option("a", parse_natural, required=True),))
+    _option(p, "--a", type=parse_natural, required=True)
+    common(p, _cmd_derive)
 
     p = sub.add_parser("scan", help="exhaustive index scan of [1, bound)")
-    p.add_argument("--bound", type=parse_natural, default=None)
-    p.add_argument("--index", type=parse_index, default=None, help="target index P/Q")
-    p.add_argument("--resume", default=None, help="checkpoint path; created if missing")
-    p.add_argument("--workers", type=parse_natural, default=None)
-    p.add_argument("--segment-size", dest="segment_size", type=parse_natural, default=None)
-    common(p, _cmd_scan, (
-        _Option("bound", parse_natural, required=True),
-        _Option("index", parse_index, required=True),
-        _Option("resume", str),
-        _Option("workers", parse_natural, default=1),
-        _Option("segment_size", parse_natural, default=DEFAULT_SEGMENT_SIZE),
-    ))
+    _option(p, "--bound", type=parse_natural, required=True)
+    _option(p, "--index", type=parse_index, required=True, help="target index P/Q")
+    _option(p, "--resume", help="checkpoint path; created if missing")
+    _option(p, "--workers", type=parse_natural, default=1)
+    _option(p, "--segment-size", type=parse_natural, default=DEFAULT_SEGMENT_SIZE)
+    common(p, _cmd_scan)
 
     p = sub.add_parser("verify", help="run exhaustive verification suites")
-    p.add_argument("--suite", choices=SUITE_NAMES, default=None)
-    common(p, _cmd_verify, (_Option("suite", str, default="all"),))
+    _option(p, "--suite", choices=SUITE_NAMES, default="all")
+    common(p, _cmd_verify)
 
     return parser
 
@@ -362,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    _resolve_options(parser, ns)
     started = time.perf_counter()
     try:
         inputs, result, lines, code = ns.handler(ns)

@@ -69,7 +69,7 @@ class SieveBudgetError(Exception):
     """Requested segment exceeds the in-memory sieve budget; split it."""
 
 
-def sigma_range(lo: int, hi: int, *, max_elements: int = MAX_SEGMENT) -> np.ndarray:
+def sigma_range(lo: int, hi: int) -> np.ndarray:
     """sigma(n) for every n in [lo, hi) as an int64 array.
 
     Raises SieveBudgetError when the segment is too wide for the memory
@@ -77,7 +77,7 @@ def sigma_range(lo: int, hi: int, *, max_elements: int = MAX_SEGMENT) -> np.ndar
     """
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
-    check_width(hi - lo, max_elements)
+    check_width(hi - lo)
     check_height(hi)
 
     size = hi - lo
@@ -141,10 +141,10 @@ def check_height(hi: int) -> None:
         raise SieveBudgetError(f"values past {_VALUE_LIMIT} would overflow the sieve")
 
 
-def check_width(size: int, max_elements: int = MAX_SEGMENT) -> None:
+def check_width(size: int) -> None:
     """Raise SieveBudgetError if a segment of size values is too wide to sieve."""
-    if size > max_elements:
-        raise SieveBudgetError(f"segment of {size} elements exceeds budget of {max_elements}")
+    if size > MAX_SEGMENT:
+        raise SieveBudgetError(f"segment of {size} elements exceeds budget of {MAX_SEGMENT}")
 
 
 def cover(hi: int) -> None:

@@ -4,6 +4,17 @@ Each suite replays one family of guarantees against an independent
 brute-force computation over its full stated range and reports check and
 failure counts. They exist so a broken optimization anywhere in the library
 shows up as a nonzero failure count rather than a silent wrong answer.
+
+The ranges are fixed, so every run makes the same checks:
+
+- lemma21: coprime pairs up to 300, n up to 1000 times 2..10, supports of
+  up to 3 primes below 50 with exponents up to 3, and n up to 10^5
+- prop22: a up to 10^4
+- thm31: distinct primes p, q below 200 and a up to 200
+- mod8: a up to 100 and odd Q up to 10^4 coprime to 15
+- bounds: omega from 3 to 12, primes below 1000 and a up to 50
+- residue: 1000 values of sigma(Q^2), odd Q with 25 Q^2 up to 10^7, and a
+  scan of [1, 10^7)
 """
 
 from __future__ import annotations
@@ -58,11 +69,11 @@ class _Tally:
         return SuiteResult(name, self.checks, self.failures, tuple(self.notes))
 
 
-def verify_prop22(a_limit: int = 10_000) -> SuiteResult:
-    """sigma(5^(2a)) mod 8 agrees with the mod-4 classifier for a up to a_limit."""
+def verify_prop22() -> SuiteResult:
+    """sigma(5^(2a)) mod 8 agrees with the mod-4 classifier for a up to 10^4."""
     t = _Tally()
     power = 5 ** 3  # 5^(2a+1), kept incrementally
-    for a in range(1, a_limit + 1):
+    for a in range(1, 10_001):
         direct = ((power - 1) // 4) % 8
         t.checks += 1
         if sigma5_mod8(a) != direct:
@@ -71,19 +82,19 @@ def verify_prop22(a_limit: int = 10_000) -> SuiteResult:
     return t.result("prop22")
 
 
-def verify_thm31(prime_limit: int = 200, a_limit: int = 200) -> SuiteResult:
+def verify_thm31() -> SuiteResult:
     """Order-based divisibility of sigma(q^(2a)) by p vs. direct division.
 
-    Exhaustive over distinct primes p, q below prime_limit and a up to
-    a_limit; the oracle side computes the full divisor sum in arbitrary
-    precision and reduces it mod p.
+    Exhaustive over distinct primes p, q below 200 and a up to 200; the
+    oracle side computes the full divisor sum in arbitrary precision and
+    reduces it mod p.
     """
     t = _Tally()
-    primes = primes_below(prime_limit)
+    primes = primes_below(200)
     for q in primes:
         sums = []
         power = q ** 3
-        for _ in range(a_limit):
+        for _ in range(200):
             sums.append((power - 1) // (q - 1))
             power *= q * q
         for p in primes:
@@ -97,26 +108,25 @@ def verify_thm31(prime_limit: int = 200, a_limit: int = 200) -> SuiteResult:
     return t.result("thm31")
 
 
-def verify_mod8(a_limit: int = 100, q_limit: int = 10_000) -> SuiteResult:
-    """The mod-8 sum skeleton: over all a and all odd Q coprime to 15,
-    whenever sigma(5^(2a)) * sigma(Q^2) ≡ 5 (mod 8), the sum is ≡ 6 exactly
-    for even a and ≡ 2 exactly for odd a."""
+def verify_mod8() -> SuiteResult:
+    """The mod-8 sum skeleton: over all a up to 100 and all odd Q up to 10^4
+    coprime to 15, whenever sigma(5^(2a)) * sigma(Q^2) ≡ 5 (mod 8), the sum
+    is ≡ 6 exactly for even a and ≡ 2 exactly for odd a."""
     t = _Tally()
     s5 = []
     power = 125
-    for _ in range(a_limit):
+    for _ in range(100):
         s5.append(((power - 1) // 4) % 8)
         power *= 25
     sq8 = []
-    for q in range(1, q_limit + 1, 2):
+    for q in range(1, 10_001, 2):
         if q % 3 == 0 or q % 5 == 0:
             continue
         total = 1
         for p, e in factorize(q):
             total *= sigma_prime_power(p, 2 * e)
         sq8.append((q, total % 8))
-    for a in range(1, a_limit + 1):
-        s5a = s5[a - 1]
+    for a, s5a in enumerate(s5, start=1):
         want = 6 if a % 2 == 0 else 2
         for q, sq in sq8:
             if s5a * sq % 8 != 5:
@@ -129,7 +139,7 @@ def verify_mod8(a_limit: int = 100, q_limit: int = 10_000) -> SuiteResult:
     return t.result("mod8")
 
 
-def _lemma21_weak_multiplicativity(t: _Tally, limit: int = 300) -> None:
+def _lemma21_weak_multiplicativity(t: _Tally) -> None:
     cache: dict[int, Fraction] = {}
 
     def index(k: int) -> Fraction:
@@ -139,8 +149,8 @@ def _lemma21_weak_multiplicativity(t: _Tally, limit: int = 300) -> None:
             cache[k] = val
         return val
 
-    for m in range(1, limit + 1):
-        for n in range(m, limit + 1):
+    for m in range(1, 301):
+        for n in range(m, 301):
             if math.gcd(m, n) != 1:
                 continue
             t.checks += 1
@@ -148,21 +158,21 @@ def _lemma21_weak_multiplicativity(t: _Tally, limit: int = 300) -> None:
                 t.fail(f"I({m}*{n}) != I({m})*I({n})")
 
 
-def _lemma21_monotone(t: _Tally, n_limit: int = 1000, alpha_max: int = 10) -> None:
-    cache = {k: abundancy_index(k) for k in range(1, n_limit * alpha_max + 1)}
-    for n in range(1, n_limit + 1):
+def _lemma21_monotone(t: _Tally) -> None:
+    cache = {k: abundancy_index(k) for k in range(1, 10_001)}
+    for n in range(1, 1001):
         base = cache[n]
-        for alpha in range(2, alpha_max + 1):
+        for alpha in range(2, 11):
             t.checks += 1
             if not cache[alpha * n] > base:
                 t.fail(f"I({alpha}*{n}) is not above I({n})")
 
 
-def _lemma21_prime_replacement(t: _Tally, prime_limit: int = 50, exp_max: int = 3, max_len: int = 3) -> None:
-    primes = primes_below(prime_limit)
-    for length in range(1, max_len + 1):
+def _lemma21_prime_replacement(t: _Tally) -> None:
+    primes = primes_below(50)
+    for length in range(1, 4):
         tuples = list(combinations(primes, length))
-        exps = list(product(range(1, exp_max + 1), repeat=length))
+        exps = list(product(range(1, 4), repeat=length))
         # One row of (sigma, value) per support, in ``exps`` order.
         rows = {}
         for tp in tuples:
@@ -185,8 +195,8 @@ def _lemma21_prime_replacement(t: _Tally, prime_limit: int = 50, exp_max: int = 
                         t.fail(f"I({small}^{ex}) < I({large}^{ex})")
 
 
-def _lemma21_strict_bound(t: _Tally, limit: int = 10 ** 5) -> None:
-    for n in range(2, limit + 1):
+def _lemma21_strict_bound(t: _Tally) -> None:
+    for n in range(2, 10 ** 5 + 1):
         f = factorize(n)
         num = den = 1
         for p in f.primes:
@@ -201,8 +211,9 @@ def _lemma21_strict_bound(t: _Tally, limit: int = 10 ** 5) -> None:
 def verify_lemma21() -> SuiteResult:
     """Index algebra, exhaustively: weak multiplicativity for coprime pairs
     up to 300, strict growth under multiplication for n up to 1000, prime
-    replacement over supports below 50, and the strict support ceiling for
-    n up to 10^5 (n = 1 has empty support and is skipped)."""
+    replacement over supports of up to 3 primes below 50 with exponents up
+    to 3, and the strict support ceiling for n up to 10^5 (n = 1 has empty
+    support and is skipped)."""
     t = _Tally()
     _lemma21_weak_multiplicativity(t)
     _lemma21_monotone(t)
@@ -211,32 +222,33 @@ def verify_lemma21() -> SuiteResult:
     return t.result("lemma21")
 
 
-def verify_bounds(prime_limit: int = 1000, a_limit: int = 50) -> SuiteResult:
-    """Consistency of the two lower bounds plus strictness of the per-prime
-    divisor-sum inequality for all primes below prime_limit and a up to
-    a_limit."""
+def verify_bounds() -> SuiteResult:
+    """Consistency of the two lower bounds for omega from 3 to 12, plus
+    strictness of the per-prime divisor-sum inequality for all primes below
+    1000 and a up to 50."""
     t = _Tally()
     for omega in range(3, 13):
         t.checks += 1
         if Fraction(omega_lower_bound(omega)) != lower_bound((2,) + (1,) * (omega - 1)):
             t.fail(f"omega={omega}: closed form departs from the exponent bound")
-    for p in primes_below(prime_limit):
-        for a in range(1, a_limit + 1):
+    for p in primes_below(1000):
+        for a in range(1, 51):
             t.checks += 1
             if not am_gm_sigma_bound(p, a):
                 t.fail(f"sigma({p}^{2 * a}) <= (2a+1)p^a")
     return t.result("bounds")
 
 
-def verify_residue(scan_bound: int = 10 ** 7) -> SuiteResult:
+def verify_residue() -> SuiteResult:
     """Soundness of the a = 1 residue class F ≡ 5425 (mod 6200).
 
-    Three angles: every admissible sigma(Q^2) value substitutes back into
-    that class; every actual n = 25 Q^2 below the bound whose sigma(Q^2)
-    meets the mod-45 and mod-8 constraints lies in the class (vacuously, at
-    this scale); and a full scan confirms nothing below the bound shares
-    10's index except 10 itself.
+    Three angles: every admissible sigma(Q^2) value 360u + 315, u < 1000,
+    substitutes back into that class; every actual n = 25 Q^2 up to 10^7
+    whose sigma(Q^2) meets the mod-45 and mod-8 constraints lies in the
+    class (vacuously, at this scale); and a full scan confirms nothing
+    below 10^7 shares 10's index except 10 itself.
     """
+    scan_bound = 10 ** 7
     t = _Tally()
     for u in range(1000):
         s = 360 * u + 315

@@ -105,7 +105,6 @@ def test_find_friends_examples():
 def test_find_friends_bound_is_inclusive():
     assert find_friends(6, 28) == [28]
     assert find_friends(6, 27) == []
-    assert find_friends(6, 28, segment_size=14) == [28]  # bound ends a segment
     assert find_friends(6, 0) == find_friends(6, -5) == []
 
 
@@ -126,10 +125,10 @@ def test_find_friends_excludes_self_and_validates():
 
 
 def test_find_friends_past_the_sieve_limit_fails_fast():
-    # A segment as wide as the bound: the check must come before any sieving.
+    # About 2^30 segments of the default size: the check must come before any sieving.
     started = time.perf_counter()
     with pytest.raises(SieveBudgetError, match="overflow"):
-        find_friends(6, 2 ** 50 + 1, segment_size=1 << 40)
+        find_friends(6, 2 ** 50 + 1)
     assert time.perf_counter() - started < 1
 
 

@@ -29,7 +29,7 @@ def report(criterion, ok, detail):
 
 def test_criterion_1_sigma5_mod8_classifier():
     started = time.perf_counter()
-    result = verify_prop22(a_limit=10_000)
+    result = verify_prop22()
     elapsed = time.perf_counter() - started
     report(
         1,
@@ -41,7 +41,7 @@ def test_criterion_1_sigma5_mod8_classifier():
 
 def test_criterion_2_order_divisibility():
     started = time.perf_counter()
-    result = verify_thm31(prime_limit=200, a_limit=200)
+    result = verify_thm31()
     elapsed = time.perf_counter() - started
     pairs = len(primes_below(200)) * (len(primes_below(200)) - 1)
     report(
@@ -53,7 +53,7 @@ def test_criterion_2_order_divisibility():
 
 
 def test_criterion_3_mod8_sum_skeleton():
-    result = verify_mod8(a_limit=100, q_limit=10_000)
+    result = verify_mod8()
     report(
         3,
         result.failures == 0 and result.checks > 0,

@@ -168,13 +168,6 @@ def test_factorize_small_n_builds_small_sieve():
     assert int(out.stdout) < 10 ** 6
 
 
-def test_factorize_keeps_no_slice_per_input():
-    before = len(arith._slice_memo)
-    for n in range(2, 10_001):
-        factorize(n)
-    assert len(arith._slice_memo) <= before
-
-
 # --- sigma -------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -268,6 +269,40 @@ def test_closed_stdout_is_not_a_traceback():
         proc.wait(timeout=60)
     assert "Traceback" not in stderr
     assert stderr == ""
+
+
+SCAN = ("scan", "--bound", "20000", "--index", "9/5")
+
+
+@pytest.mark.parametrize(
+    "name, args, flag, value, bad",
+    [
+        ("WORKERS", SCAN, "--workers", "2", "two"),
+        ("SEGMENT_SIZE", SCAN, "--segment-size", "4096", "wide"),
+        ("RESUME", SCAN, "--resume", None, None),
+        ("A", ("derive",), "--a", "3", "three"),
+        ("Q_FACTORS", ("check", "--a", "1"), "--q-factors", "7^2,11", "4^2"),
+        ("SUITE", ("verify",), "--suite", "bounds", None),
+    ],
+)
+def test_env_fallback_matches_flag(run_cli, tmp_path, name, args, flag, value, bad):
+    def report(result):
+        assert result.returncode == 0, result.stderr
+        return re.sub(r"\(\d+ ms\)", "(ms)", result.stdout)  # verify timings vary
+
+    if value is None:  # a checkpoint path, one per run
+        by_flag = run_cli(*args, flag, str(tmp_path / "flag.cp"))
+        by_env = run_cli(*args, env={"FRIENDLY_" + name: str(tmp_path / "env.cp")})
+        assert (tmp_path / "flag.cp").exists() and (tmp_path / "env.cp").exists()
+    else:
+        by_flag = run_cli(*args, flag, value)
+        by_env = run_cli(*args, env={"FRIENDLY_" + name: value})
+    assert report(by_env) == report(by_flag)
+    if bad is not None:
+        result = run_cli(*args, env={"FRIENDLY_" + name: bad})
+        assert result.returncode == 2
+        assert bad in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 def test_bad_env_value_is_usage_error(run_cli):

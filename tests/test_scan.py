@@ -30,7 +30,7 @@ from friendly.scan import (
     scan_range,
     segment_grid,
 )
-from friendly.sieve import SieveBudgetError, index_hits, sigma_range
+from friendly.sieve import MAX_SEGMENT, SieveBudgetError, index_hits, sigma_range
 
 
 def divisor_sum(n):
@@ -140,7 +140,7 @@ def test_segment_after_a_higher_one_matches_a_fresh_sieve(monkeypatch):
 
 def test_sigma_range_budget():
     with pytest.raises(SieveBudgetError):
-        sigma_range(1, 1000, max_elements=100)
+        sigma_range(1, MAX_SEGMENT + 2)  # refused before anything is allocated
     with pytest.raises(ValueError):
         sigma_range(0, 10)
 
@@ -250,6 +250,21 @@ def test_segment_grid_covers_exactly():
         assert a_hi == b_lo
     with pytest.raises(ValueError):
         segment_grid(1, 2 ** 16)
+
+
+def test_bound_ending_a_segment_is_scanned():
+    # Segments [1, 15) and [15, 29): the last value below the bound is a hit.
+    assert scan(29, Fraction(2), segment_size=14).hits == (6, 28)
+
+
+def test_negative_max_segments_is_refused_before_any_file(tmp_path):
+    checkpoint = tmp_path / "cp"
+    with pytest.raises(ValueError, match="max_segments"):
+        scan(1000, Fraction(2), segment_size=100, max_segments=-1, checkpoint_path=checkpoint)
+    assert list(tmp_path.iterdir()) == []
+    # Zero is a valid cap: the run starts and scans nothing.
+    outcome = scan(1000, Fraction(2), segment_size=100, max_segments=0, checkpoint_path=checkpoint)
+    assert outcome.segments_done == 0 and outcome.frontier == 1 and not outcome.complete
 
 
 def test_scan_past_the_sieve_limit_fails_before_any_file(tmp_path):
