@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .arith import Factorization, factorize, is_prime, sigma
-from .scan import scan
 
 __all__ = [
     "FriendPair",
@@ -73,6 +72,9 @@ def find_friends(n: int, bound: int) -> list[int]:
     A ``scan`` of [1, bound], so each sieve hit is re-verified exactly. A
     bound past the sieve's 2^50 raises SieveBudgetError before any sieving.
     """
+    # Imported here so that the exact layer never loads the sieve or numpy.
+    from .scan import scan
+
     if n < 1:
         raise ValueError("n must be positive")
     if bound < 1:

@@ -45,8 +45,9 @@ _DETERMINISTIC_LIMIT = 1 << 64
 class FactoringBudgetError(Exception):
     """Factoring would exceed its iteration budget.
 
-    Range scanners catch this to skip or defer a stubborn value instead of
-    stalling the whole scan.
+    Nothing in the library catches it: ``scan_range`` and the ``scan`` driver
+    let it propagate, and the ``friendly`` command reports it as a domain
+    error (exit 1).
     """
 
     def __init__(self, n: int, budget: int):

@@ -52,14 +52,14 @@ def parse_natural(text: str) -> int:
         base_text, _, exp_text = raw.partition("^")
         base, exp = int(base_text), int(exp_text)
         if base < 0 or exp < 0:
-            raise ValueError(f"expected a natural number, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
         if exp * base.bit_length() > _MAX_POWER_BITS:
-            raise ValueError(f"{text!r} is too large: more than {_MAX_POWER_BITS} bits")
+            raise argparse.ArgumentTypeError(f"{text!r} is too large: more than {_MAX_POWER_BITS} bits")
         value = base ** exp
     else:
         value = int(raw)
     if value < 0:
-        raise ValueError(f"expected a natural number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
     return value
 
 
@@ -67,13 +67,13 @@ def parse_index(text: str) -> Fraction:
     """A positive exact ratio written P/Q."""
     num, sep, den = text.strip().partition("/")
     if not sep:
-        raise ValueError(f"index must be written as P/Q, got {text!r}")
+        raise argparse.ArgumentTypeError(f"index must be written as P/Q, got {text!r}")
     p, q = int(num), int(den)
     if q == 0:
-        raise ValueError(f"index denominator must be nonzero, got {text!r}")
+        raise argparse.ArgumentTypeError(f"index denominator must be nonzero, got {text!r}")
     index = Fraction(p, q)
     if index <= 0:
-        raise ValueError(f"index must be positive, got {text!r}")
+        raise argparse.ArgumentTypeError(f"index must be positive, got {text!r}")
     return index
 
 
@@ -86,7 +86,10 @@ def parse_q_factors(text: str) -> Factorization:
     for chunk in text.split(","):
         prime, sep, exp = chunk.strip().partition("^")
         pairs.append((int(prime), int(exp) if sep else 1))
-    return Factorization(tuple(sorted(pairs)))
+    try:
+        return Factorization(tuple(sorted(pairs)))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc} in {text!r}") from exc
 
 
 def _option(parser: argparse.ArgumentParser, flag: str, *, required: bool = False, **kwargs) -> None:

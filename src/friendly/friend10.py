@@ -33,7 +33,6 @@ __all__ = [
     "TARGET_INDEX",
     "Candidate",
     "FilterReport",
-    "OrderParams",
     "ResidueClass",
     "RuleResult",
     "Verdict",
@@ -49,7 +48,6 @@ __all__ = [
     "lower_bound",
     "nine_exact_divisibility",
     "omega_lower_bound",
-    "order_params",
     "prime_support_filter",
     "sigma5_mod8",
     "smallest_odd_f",
@@ -186,21 +184,6 @@ def enumerate_structured(bound: int) -> Iterator[Candidate]:
     return merge(*streams, key=lambda c: c.value)
 
 
-@dataclass(frozen=True)
-class OrderParams:
-    """Order data tying a prime p to divisibility of sigma(q^(2a)).
-
-    k is one more than the p-adic valuation of q - 1, and f, when present,
-    is the multiplicative order of q mod p^k, kept only when it is odd and
-    greater than 1, the only case in which p can divide sigma(q^(2a)).
-    """
-
-    p: int
-    q: int
-    k: int
-    f: Optional[int]
-
-
 def sigma5_mod8(a: int) -> int:
     """sigma(5^(2a)) mod 8; cycles through 1, 7, 5, 3 as a mod 4 = 0, 1, 2, 3.
 
@@ -213,26 +196,22 @@ def sigma5_mod8(a: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def order_params(p: int, q: int) -> OrderParams:
-    if p == q:
-        raise ValueError("p and q must be distinct primes")
-    if not (is_prime(p) and is_prime(q)):
-        raise ValueError(f"{p} and {q} must both be prime")
-    k = p_adic_valuation(p, q - 1) + 1
-    d = multiplicative_order(q, p ** k)
-    f = d if d > 1 and d % 2 == 1 else None
-    return OrderParams(p=p, q=q, k=k, f=f)
-
-
 def smallest_odd_f(p: int, q: int) -> Optional[int]:
     """Smallest odd f > 1 with q^f ≡ 1 (mod p^k), or None when none exists.
 
     k is fixed by p^(k-1) exactly dividing q - 1. The powers of q hitting 1
     mod p^k are exactly the multiples of the multiplicative order d, so an
     odd f exists iff d itself is odd; d = 1 cannot happen by choice of k,
-    and an even d has no odd multiples at all.
+    and an even d has no odd multiples at all. An odd f is the only case in
+    which p can divide sigma(q^(2a)).
     """
-    return order_params(p, q).f
+    if p == q:
+        raise ValueError("p and q must be distinct primes")
+    if not (is_prime(p) and is_prime(q)):
+        raise ValueError(f"{p} and {q} must both be prime")
+    k = p_adic_valuation(p, q - 1) + 1
+    d = multiplicative_order(q, p ** k)
+    return d if d > 1 and d % 2 == 1 else None
 
 
 def divides_sigma_even_power(p: int, q: int, a: int) -> bool:

@@ -44,7 +44,6 @@ __all__ = [
     "read_records",
     "scan",
     "scan_range",
-    "segment_grid",
 ]
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
@@ -252,11 +251,6 @@ def _starts(bound: int, segment_size: int) -> range:
     if segment_size < 1:
         raise ValueError("segment_size must be positive")
     return range(1, bound, segment_size)
-
-
-def segment_grid(bound: int, segment_size: int) -> list[tuple[int, int]]:
-    """Disjoint segments covering exactly [1, bound)."""
-    return [(lo, min(lo + segment_size, bound)) for lo in _starts(bound, segment_size)]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """The command-line surface: outputs, envelopes, exit codes, env fallbacks."""
 
+import argparse
 import json
 import os
 import re
@@ -224,6 +225,22 @@ def test_check_rejects_bad_q_factors(run_cli):
     assert result.returncode == 2  # parse-level validation: 4 is not prime
 
 
+@pytest.mark.parametrize(
+    "args, flag, value, reason",
+    [
+        (("scan", "--bound", "100"), "--index", "9/0", "index denominator must be nonzero, got '9/0'"),
+        (("check", "--a", "1"), "--q-factors", "4^2", "4 is not prime in '4^2'"),
+        (("check", "--a", "1"), "--q-factors", "7,7", "primes must increase strictly: 7 after 7 in '7,7'"),
+    ],
+)
+def test_usage_error_keeps_the_parsers_reason(run_cli, args, flag, value, reason):
+    name = "FRIENDLY_" + flag[2:].replace("-", "_").upper()
+    for result in (run_cli(*args, flag, value), run_cli(*args, env={name: value})):
+        assert result.returncode == 2
+        assert f"argument {flag}: {reason}" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 # --- environment variable fallbacks -------------------------------------------------
 
 
@@ -319,7 +336,7 @@ def test_parse_natural_forms():
     assert parse_natural("1_000") == 1000
     assert parse_natural("2^8192") == 2 ** 8192  # 2 * 8192 bits by the estimate: the limit
     for text in ("0^-1", "2^-1", "-2^2", "2^8193", "10^1000000000000"):
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError):
             parse_natural(text)
 
 

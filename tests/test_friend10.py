@@ -28,7 +28,6 @@ from friendly.friend10 import (
     lower_bound,
     nine_exact_divisibility,
     omega_lower_bound,
-    order_params,
     prime_support_filter,
     sigma5_mod8,
     smallest_odd_f,
@@ -113,27 +112,25 @@ def test_smallest_odd_f_absent_when_order_is_even():
     assert smallest_odd_f(7, 2) == 3
 
 
-def test_order_params_invariants():
+def test_smallest_odd_f_invariants():
     for p in (3, 5, 7, 11, 13, 19, 31):
         for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             if p == q:
                 continue
-            params = order_params(p, q)
             k = 0
             n = q - 1
             while n % p == 0:
                 n //= p
                 k += 1
-            assert params.k == k + 1
-            d = brute_order(q, p ** params.k)
-            assert params.f == (d if d > 1 and d % 2 == 1 else None)
+            d = brute_order(q, p ** (k + 1))
+            assert smallest_odd_f(p, q) == (d if d > 1 and d % 2 == 1 else None)
 
 
-def test_order_params_rejects_bad_pairs():
+def test_smallest_odd_f_rejects_bad_pairs():
     with pytest.raises(ValueError):
-        order_params(5, 5)
+        smallest_odd_f(5, 5)
     with pytest.raises(ValueError):
-        order_params(4, 7)
+        smallest_odd_f(4, 7)
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,51 @@
+"""The import graph: one path per name, and an exact layer without numpy."""
+
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(code):
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_submodule_import_gives_the_module():
+    import friendly.scan as s
+
+    assert isinstance(s, types.ModuleType)
+    assert s.__name__ == "friendly.scan"
+
+
+def test_exact_layer_runs_without_numpy():
+    result = run_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+        "from fractions import Fraction\n"
+        "from friendly.abundancy import abundancy_index\n"
+        "from friendly.arith import factorize\n"
+        "from friendly.friend10 import Candidate, derive_residue_class, filter_chain\n"
+        "assert abundancy_index(10) == Fraction(9, 5)\n"
+        "assert derive_residue_class(1).modulus > 1\n"
+        "report = filter_chain(Candidate(a=1, q_factorization=factorize(7 ** 2)))\n"
+        "assert report.results\n"
+        "assert 'friendly.scan' not in sys.modules\n"
+        "assert 'friendly.sieve' not in sys.modules\n"
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_loads_every_layer():
+    # perfbench/rep.py reads these modules from sys.modules after importing the CLI.
+    result = run_python(
+        "import sys\n"
+        "import friendly.cli\n"
+        "names = ('arith', 'friend10', 'scan', 'sieve', 'verify')\n"
+        "missing = [n for n in names if 'friendly.' + n not in sys.modules]\n"
+        "assert not missing, missing\n"
+    )
+    assert result.returncode == 0, result.stderr

@@ -28,7 +28,6 @@ from friendly.scan import (
     read_records,
     scan,
     scan_range,
-    segment_grid,
 )
 from friendly.sieve import MAX_SEGMENT, SieveBudgetError, index_hits, sigma_range
 
@@ -242,16 +241,6 @@ def test_scan_range_hits_carry_the_target_index():
 # --- the driver -------------------------------------------------------------------
 
 
-def test_segment_grid_covers_exactly():
-    grid = segment_grid(10 ** 6 + 17, 2 ** 16)
-    assert grid[0][0] == 1
-    assert grid[-1][1] == 10 ** 6 + 17
-    for (a_lo, a_hi), (b_lo, b_hi) in zip(grid, grid[1:]):
-        assert a_hi == b_lo
-    with pytest.raises(ValueError):
-        segment_grid(1, 2 ** 16)
-
-
 def test_bound_ending_a_segment_is_scanned():
     # Segments [1, 15) and [15, 29): the last value below the bound is a hit.
     assert scan(29, Fraction(2), segment_size=14).hits == (6, 28)
@@ -284,6 +273,8 @@ def test_scan_refuses_a_wide_segment_or_bad_target_before_any_file(tmp_path):
     for target in (Fraction(-1), Fraction(0)):
         with pytest.raises(ValueError, match="positive"):
             scan(100, target, checkpoint_path=checkpoint)
+    with pytest.raises(ValueError, match="bound must be >= 2"):
+        scan(1, Fraction(2), checkpoint_path=checkpoint)
     assert list(tmp_path.iterdir()) == []
     # A segment is only as wide as the values it covers.
     assert scan(1000, Fraction(2), segment_size=1 << 40).hits == (6, 28, 496)
@@ -458,7 +449,7 @@ def test_resume_rescans_nothing_below_frontier(tmp_path):
     # combined coverage is seamless, and the checkpoint still names the run
     assert second.frontier == bound
     records = read_records(str(path) + ".records")
-    assert [(r.lo, r.hi) for r in records] == segment_grid(bound, seg)
+    assert [(r.lo, r.hi) for r in records] == [(lo, min(lo + seg, bound)) for lo in range(1, bound, seg)]
     assert checkpoint_load(path) == Checkpoint(CHECKPOINT_VERSION, Fraction(9, 5), bound, seg)
 
 
@@ -494,7 +485,7 @@ def test_pooled_records_out_of_grid_order_resume_to_a_fresh_runs_totals(tmp_path
 def test_resume_after_a_crash_at_every_byte_of_the_records_file(tmp_path):
     bound, seg, target = 1200, 100, Fraction(2)
     fresh = scan(bound, target, segment_size=seg)
-    grid = segment_grid(bound, seg)
+    grid = [(lo, min(lo + seg, bound)) for lo in range(1, bound, seg)]
     path = tmp_path / "scan.checkpoint"
     records = tmp_path / "scan.checkpoint.records"
     scan(bound, target, segment_size=seg, checkpoint_path=path, max_segments=6)
