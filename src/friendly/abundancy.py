@@ -32,8 +32,8 @@ def abundancy_index(f: Union[Factorization, int]) -> Fraction:
     sigma(n) and n are multiplied up from the prime powers as integers and
     reduced once.
     """
-    if isinstance(f, int):
-        f = factorize(f)
+    if not isinstance(f, Factorization):
+        f = factorize(f)  # any integer type, numpy's included
     return Fraction(sigma(f), f.value)
 
 
@@ -88,17 +88,20 @@ class SolitaryVerdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def solitary_certificate(n: int) -> SolitaryVerdict:
+def solitary_certificate(n: Union[Factorization, int]) -> SolitaryVerdict:
     """Certify n solitary when gcd(n, sigma(n)) = 1; otherwise stay agnostic.
 
     The coprime case makes sigma(n)/n already reduced, which forces any
     friend to be a proper multiple of n, impossible since the index grows
     strictly under multiplication. No gcd value can certify the opposite:
     friendliness is only ever established by exhibiting a witness pair.
+    A caller that already holds n's factorization passes it instead of n.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if math.gcd(n, sigma(factorize(n))) == 1:
+    if not isinstance(n, Factorization):
+        if n < 1:
+            raise ValueError("n must be positive")
+        n = factorize(n)
+    if math.gcd(n.value, sigma(n)) == 1:
         return SolitaryVerdict.CERTIFIED_SOLITARY
     return SolitaryVerdict.INCONCLUSIVE
 

@@ -1,9 +1,17 @@
 """Exact integer arithmetic: primality, factoring, divisor sums, orders, CRT.
 
 Everything stays in arbitrary-precision integers; nothing rounds through a
-float. Values are immutable and safe to share across workers. The one piece
-of shared state, the small-prime sieve, is built under a lock and is
-read-only afterwards.
+float. Values are immutable and safe to share across workers.
+
+The one piece of shared state is a smallest-prime-factor table: an
+``array`` of 2-byte entries (a composite below 2^32 has its smallest prime
+factor below 2^16), with the primes below the same limit taken from the
+same sieve. It is built on first use at 2^17 entries, the first power of
+two above 10^5, so that every n the verify suites factor is a table walk.
+It grows under a lock, at least doubling each time, and is read-only
+between growths. Below its limit ``factorize`` walks the table and
+``is_prime`` is one lookup; above it, trial division by the primes plus
+Brent's rho is the only path.
 """
 
 from __future__ import annotations
@@ -13,7 +21,9 @@ import math
 import operator
 import random
 import threading
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 __all__ = [
@@ -81,13 +91,17 @@ def _miller_rabin(n: int, bases: Iterable[int]) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test: exact below 2^64, Miller-Rabin above.
 
-    Below 2^64 a fixed witness set decides exactly. At or above,
-    DEFAULT_MR_ROUNDS extra pseudorandom witnesses (seeded by n, so results
-    are reproducible) bound the false-positive probability by
-    4**-DEFAULT_MR_ROUNDS.
+    Below the limit of the smallest-prime-factor table, once built, the
+    answer is one lookup. Otherwise, below 2^64, a fixed witness set decides
+    exactly. At or above, DEFAULT_MR_ROUNDS extra pseudorandom witnesses
+    (seeded by n, so results are reproducible) bound the false-positive
+    probability by 4**-DEFAULT_MR_ROUNDS.
     """
     if n < 2:
         return False
+    spf = _table[0]
+    if n < len(spf):
+        return spf[n] == 0
     for p in _WITNESSES:
         if n == p:
             return True
@@ -100,37 +114,48 @@ def is_prime(n: int) -> bool:
     return _miller_rabin(n, _WITNESSES + extra)
 
 
-def _eratosthenes(limit: int) -> tuple[int, ...]:
-    if limit <= 2:
-        return ()
+# The table's least size: the first power of two above 10^5, so every n the
+# verify suites factor (up to 10^5) is one table walk after the first call.
+_TABLE_MIN = 1 << 17
+
+_table_lock = threading.Lock()
+# (spf, primes), swapped whole so readers never see halves of two builds.
+# spf[n] is the smallest prime factor of each composite n < len(spf), and 0
+# at primes, 0 and 1; primes holds every prime below the same limit. A
+# composite below 2^32 has its smallest prime factor below 2^16, so 2-byte
+# entries suffice far past the 10^6 that trial division asks for by default.
+_table: tuple[array, tuple[int, ...]] = (array("H"), ())
+
+
+def _build_table(limit: int) -> tuple[array, tuple[int, ...]]:
+    """The smallest-prime-factor table and the primes below limit, from one sieve."""
     flags = bytearray([1]) * limit
-    flags[0] = flags[1] = 0
+    flags[:2] = b"\0\0"
+    sieving = []
     for p in range(2, math.isqrt(limit - 1) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, limit, p)))
-    return tuple(i for i in range(limit) if flags[i])
+            sieving.append(p)
+            flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    spf = array("H", [0]) * limit
+    # Largest prime first, so each entry ends up holding its smallest.
+    for p in reversed(sieving):
+        spf[p * p :: p] = array("H", [p]) * len(range(p * p, limit, p))
+    return spf, tuple(compress(range(limit), flags))
 
 
-_sieve_lock = threading.Lock()
-_sieve_limit = 0
-_sieve_primes: tuple[int, ...] = ()
-
-
-def _grow_sieve(limit: int) -> tuple[int, ...]:
-    """The cached primes, grown first if they do not yet cover all primes < limit."""
-    global _sieve_limit, _sieve_primes
-    if limit > _sieve_limit:
-        with _sieve_lock:
-            if limit > _sieve_limit:
-                new_limit = max(limit, 2 * _sieve_limit, 1 << 16)
-                _sieve_primes = _eratosthenes(new_limit)
-                _sieve_limit = new_limit
-    return _sieve_primes
+def _grow_table(limit: int) -> tuple[array, tuple[int, ...]]:
+    """The cached (spf, primes), grown first if they do not yet reach limit."""
+    global _table
+    if limit > len(_table[0]):
+        with _table_lock:
+            if limit > len(_table[0]):
+                _table = _build_table(max(limit, 2 * len(_table[0]), _TABLE_MIN))
+    return _table
 
 
 def primes_below(limit: int) -> tuple[int, ...]:
-    """All primes < limit, served from a grow-only cached sieve."""
-    primes = _grow_sieve(limit)
+    """All primes < limit, served from the grow-only cached table."""
+    _, primes = _grow_table(limit)
     return primes[: bisect.bisect_left(primes, limit)]
 
 
@@ -197,21 +222,38 @@ def factorize(
     trial_bound: int = DEFAULT_TRIAL_BOUND,
     rho_budget: int = DEFAULT_RHO_BUDGET,
 ) -> Factorization:
-    """Factor n >= 1: trial division by sieve primes, then Brent's rho.
+    """Factor n >= 1: a table walk below the table's limit, else trial
+    division by its primes, then Brent's rho.
 
-    Trial division runs over the cached primes below min(trial_bound,
-    isqrt(n) + 1); whatever survives goes through Brent's cycle method under
-    an iteration budget. Exceeding the budget raises FactoringBudgetError so
-    callers can skip or defer the value rather than stall.
+    Below the limit each prime factor is one lookup of the smallest-prime-
+    factor table. Above it, trial division runs over the cached primes below
+    min(trial_bound, isqrt(n) + 1); whatever survives goes through Brent's
+    cycle method under an iteration budget. Exceeding the budget raises
+    FactoringBudgetError so callers can skip or defer the value rather than
+    stall.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"can only factor n >= 1, got {n}")
     if trial_bound < 3:
         raise ValueError("trial_bound must be at least 3")
+    spf, primes = _table
+    if n >= len(spf):
+        spf, primes = _grow_table(min(trial_bound, math.isqrt(n) + 1))
+    if n < len(spf):
+        pairs = []
+        while n > 1:
+            p = spf[n] or n
+            n //= p
+            e = 1
+            while n % p == 0:
+                n //= p
+                e += 1
+            pairs.append((p, e))
+        return Factorization._proven(tuple(pairs))
     factors: dict[int, int] = {}
     rest = n
-    for p in _grow_sieve(min(trial_bound, math.isqrt(n) + 1)):
+    for p in primes:
         if p >= trial_bound or p * p > rest:
             break
         while rest % p == 0:

@@ -140,8 +140,11 @@ def _cmd_friends(ns):
 
 
 def _cmd_solitary(ns):
-    verdict = solitary_certificate(ns.n)
-    g = math.gcd(ns.n, sigma(factorize(ns.n)))
+    if ns.n < 1:
+        raise ValueError("n must be positive")
+    f = factorize(ns.n)  # once, for both the certificate and the gcd
+    verdict = solitary_certificate(f)
+    g = math.gcd(ns.n, sigma(f))
     return (
         {"n": str(ns.n)},
         {"verdict": verdict.value, "gcd": str(g)},

@@ -19,7 +19,9 @@ The ranges are fixed, so every run makes the same checks:
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,38 +170,52 @@ def _lemma21_monotone(t: _Tally) -> None:
                 t.fail(f"I({alpha}*{n}) is not above I({n})")
 
 
+def _dominated(small: tuple[int, ...], primes: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every increasing tuple over ``primes`` that is >= small coordinatewise,
+    in lexicographic order, built one coordinate at a time."""
+    larges = [()]
+    for s in small:
+        larges = [
+            large + (p,)
+            for large in larges
+            for p in primes[bisect.bisect_left(primes, max(s, large[-1] + 1) if large else s) :]
+        ]
+    return larges
+
+
 def _lemma21_prime_replacement(t: _Tally) -> None:
     primes = primes_below(50)
+    # Every exponent is at most 3, so every den divides D and an index
+    # num/den compares as the integer num * (D // den).
+    D = math.prod(primes) ** 3
     for length in range(1, 4):
-        tuples = list(combinations(primes, length))
         exps = list(product(range(1, 4), repeat=length))
-        # One row of (sigma, value) per support, in ``exps`` order.
+        # One row of scaled indices per support, in ``exps`` order.
         rows = {}
-        for tp in tuples:
+        for tp in combinations(primes, length):
             row = []
             for ex in exps:
                 num = den = 1
                 for p, e in zip(tp, ex):
                     num *= sigma_prime_power(p, e)
                     den *= p ** e
-                row.append((num, den))
+                row.append(num * (D // den))
             rows[tp] = row
-        for small in tuples:
-            small_row = rows[small]
-            for large in tuples:
-                if any(a > b for a, b in zip(small, large)):
-                    continue
+        for small, small_row in rows.items():
+            for large in _dominated(small, primes):
                 t.checks += len(exps)
-                for ex, (n1, d1), (n2, d2) in zip(exps, small_row, rows[large]):
-                    if n1 * d2 < n2 * d1:
-                        t.fail(f"I({small}^{ex}) < I({large}^{ex})")
+                large_row = rows[large]
+                if any(map(operator.lt, small_row, large_row)):
+                    for ex, a, b in zip(exps, small_row, large_row):
+                        if a < b:
+                            t.fail(f"I({small}^{ex}) < I({large}^{ex})")
 
 
 def _lemma21_strict_bound(t: _Tally) -> None:
     for n in range(2, 10 ** 5 + 1):
         f = factorize(n)
         num = den = 1
-        for p in f.primes:
+        for p, _ in f:
             num *= p
             den *= p - 1
         t.checks += 1

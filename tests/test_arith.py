@@ -4,12 +4,15 @@ import math
 import random
 import subprocess
 import sys
+from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from friendly import arith
+from friendly.abundancy import abundancy_index, are_friends
 from friendly.arith import (
     FactoringBudgetError,
     Factorization,
@@ -38,6 +41,34 @@ def trial_is_prime(n):
     return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def trial_factor(n):
+    """The (prime, exponent) pairs of n >= 1 by plain trial division."""
+    pairs = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            pairs.append((d, e))
+        d += 1
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
+
+
+@pytest.fixture
+def table_limit(monkeypatch):
+    """Start from an empty smallest-prime-factor table, build its least size,
+    and return that limit; the process's own table comes back afterwards."""
+    monkeypatch.setattr(arith, "_table", (array("H"), ()))
+    arith.primes_below(2)
+    limit = len(arith._table[0])
+    assert limit == arith._TABLE_MIN == 1 << 17
+    return limit
+
+
 # --- primality ---------------------------------------------------------------
 
 
@@ -58,8 +89,9 @@ def test_is_prime_known_values(n, expected):
     assert is_prime(n) is expected
 
 
-def test_is_prime_matches_trial_division():
-    for n in range(4000):
+def test_is_prime_matches_trial_division(table_limit):
+    # The table's lookups below its limit, Miller-Rabin past it.
+    for n in range(table_limit + 4000):
         assert is_prime(n) == trial_is_prime(n), n
 
 
@@ -75,6 +107,29 @@ def test_factorize_examples():
     assert factorize(1).pairs == ()
     assert factorize(10).pairs == ((2, 1), (5, 1))
     assert factorize(488281).pairs == ((19, 1), (31, 1), (829, 1))
+
+
+def test_factorize_table_walk_matches_trial_division(table_limit):
+    for n in range(1, table_limit):
+        assert factorize(n).pairs == trial_factor(n), n
+
+
+def test_factorize_and_is_prime_at_the_table_limit(table_limit):
+    def check(limit):
+        p = next(q for q in range(math.isqrt(limit) + 1, limit) if trial_is_prime(q))
+        for n in (limit - 1, limit, limit + 1, p * p):
+            f = factorize(n)
+            assert f.pairs == trial_factor(n), n
+            assert f == Factorization(f.pairs), n
+            assert is_prime(n) == trial_is_prime(n), n
+
+    check(table_limit)  # 2^17 - 1 is prime; 367^2 is the first prime square above
+    assert factorize(table_limit).pairs == ((2, 17),)
+    arith.primes_below(table_limit + 1)
+    grown = len(arith._table[0])
+    assert grown == 2 * table_limit
+    check(table_limit)  # now all inside the grown table
+    check(grown)
 
 
 def test_factorize_roundtrip_exhaustive():
@@ -148,24 +203,33 @@ def test_factorize_numpy_integer_gives_python_ints():
     assert all(type(x) is int for pair in f.pairs for x in pair)
 
 
-def test_factorize_respects_small_trial_bound():
-    # A trial_bound below the cached primes hands more to _split and rho;
-    # the factors must not change.
+def test_abundancy_index_and_are_friends_take_numpy_integers():
+    assert abundancy_index(np.int64(10)) == Fraction(9, 5)
+    assert are_friends(np.int64(6), np.int64(28)) is True
+
+
+def test_factorize_respects_small_trial_bound(table_limit, monkeypatch):
+    # Past the table, a trial_bound below the cached primes hands more to
+    # _split and rho; the factors must not change.
+    rho_calls = []
+    real_rho = arith._brent_rho
+    monkeypatch.setattr(arith, "_brent_rho", lambda n, *a: rho_calls.append(n) or real_rho(n, *a))
     for bound in (3, 10, 100):
-        for n in range(1, 3000):
-            assert factorize(n, trial_bound=bound) == factorize(n), (n, bound)
+        for n in range(table_limit, table_limit + 3000):
+            assert factorize(n, trial_bound=bound).pairs == trial_factor(n), (n, bound)
+    assert rho_calls
 
 
 def test_factorize_small_n_builds_small_sieve():
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]);"
-        "from friendly import arith; arith.factorize(25); print(arith._sieve_limit)"
+        "from friendly import arith; arith.factorize(25); print(len(arith._table[0]))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
     )
-    assert int(out.stdout) < 10 ** 6
+    assert int(out.stdout) == 1 << 17
 
 
 # --- sigma -------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from friendly import abundancy, arith, cli
 from friendly.abundancy import abundancy_index, find_friends
 from friendly.arith import factorize, sigma
 from friendly.cli import parse_natural, validate_envelope
@@ -50,6 +52,21 @@ def test_friends_human(run_cli):
 def test_solitary_human(run_cli):
     assert "certified-solitary" in run_cli("solitary", "5").stdout
     assert "inconclusive" in run_cli("solitary", "10").stdout
+
+
+def test_solitary_factors_n_once(monkeypatch, capsys):
+    n = 1_000_003 * 1_000_033
+    g = math.gcd(n, sigma(factorize(n)))
+    verdict = "certified-solitary" if g == 1 else "inconclusive"
+    calls = []
+    for module in (arith, abundancy, cli):
+        real = module.factorize
+        monkeypatch.setattr(
+            module, "factorize", lambda m, real=real, **kw: calls.append(m) or real(m, **kw)
+        )
+    assert cli.main(["solitary", str(n)]) == 0
+    assert capsys.readouterr().out == f"{n}: {verdict} (gcd(n, sigma(n)) = {g})\n"
+    assert calls == [n]
 
 
 def test_check_human_reports_first_rejection(run_cli):
