@@ -17,7 +17,6 @@ import json
 import mmap
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -98,20 +97,30 @@ def _positive(target: Fraction) -> Fraction:
 def scan_range(lo: int, hi: int, target: Fraction) -> ScanRecord:
     """Scan [lo, hi) for values with abundancy index equal to ``target``.
 
-    The segment's sigma values come from the batched sieve; any hit is
-    re-verified through the exact factorization path before being recorded.
-    The checksum sums sieved sigma values mod 2^64 and is independent of how
-    the surrounding scan is parallelized.
+    The segment's sigma values come from the batched sieve one block at a
+    time: each block is matched and summed into the checksum as it is
+    finished, so a call holds block scratch and O(pi(sqrt(hi))) per-prime
+    state, whatever the width. Any hit is then re-verified through the exact
+    factorization path before being recorded. The checksum sums sieved
+    sigma values mod 2^64 and is independent of how the surrounding scan is
+    parallelized.
     """
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     target = _positive(target)
     started = time.perf_counter()
-    sig = sieve.sigma_range(lo, hi)
     num, den = target.numerator, target.denominator
-    raw = sieve.index_hits(sig, lo, num, den)
+    raw: list[int] = []
+    checksum = 0
+
+    def visit(at: int, block: np.ndarray) -> None:
+        nonlocal checksum
+        raw.extend(sieve.index_hits(block, at, num, den))
+        checksum += int(np.add.reduce(block.view(np.uint64), dtype=np.uint64))
+
+    sieve.sigma_range(lo, hi, visit)
     hits = tuple(h for h in raw if sigma(factorize(h)) * den == h * num)
-    checksum = int(np.add.reduce(sig.view(np.uint64), dtype=np.uint64)) & _U64
+    checksum &= _U64
     elapsed = int((time.perf_counter() - started) * 1000)
     return ScanRecord(
         lo=lo,
@@ -366,6 +375,10 @@ def scan(
             for lo, hi in todo:
                 complete(scan_range(lo, hi, target))
         else:
+            # Imported here, so that a one-shot command does not pay for
+            # multiprocessing.
+            from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
             # At most 2 * workers segments in flight, so the pool's queue
             # stays small however long the grid is.
             with ProcessPoolExecutor(

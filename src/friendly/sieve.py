@@ -8,8 +8,10 @@ one prime factor of n above sqrt(n), which contributes itself + 1.
 
 The segment is sieved in blocks of _BLOCK values, each finished before the
 next starts. ``smooth`` and every other scratch array is block-sized, to
-stay in cache, so a call holds its output, block scratch and per-prime
-state of O(pi(sqrt(hi))) entries, and nothing else as long as the segment.
+stay in cache. Given a visitor, a call hands each finished block to it and
+reuses one block-sized output buffer, so it holds block scratch and
+per-prime state of O(pi(sqrt(hi))) entries, whatever the width; only the
+form that returns the whole segment allocates an array as long as it.
 In each block ``sig`` and ``smooth`` start as a repeated table holding 2, 3
 and 5 to low powers (a wheel); those primes are then sieved only where a
 higher power divides. Every other prime with many multiples in a block is
@@ -35,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -69,8 +72,17 @@ class SieveBudgetError(Exception):
     """Requested segment exceeds the in-memory sieve budget; split it."""
 
 
-def sigma_range(lo: int, hi: int) -> np.ndarray:
-    """sigma(n) for every n in [lo, hi) as an int64 array.
+def sigma_range(
+    lo: int, hi: int, visit: Optional[Callable[[int, np.ndarray], None]] = None
+) -> Optional[np.ndarray]:
+    """sigma(n) for every n in [lo, hi) as an int64 array, or block by block.
+
+    Without ``visit`` the whole segment is returned. With it, nothing is
+    returned: ``visit(at, block)`` is called as each block finishes, in
+    ascending order, where ``block[i]`` is sigma(at + i). ``block`` is a view
+    into one reused block-sized buffer, valid only during the call. A call
+    holds block scratch and O(pi(sqrt(hi))) per-prime state, plus, without
+    ``visit``, its output.
 
     Raises SieveBudgetError when the segment is too wide for the memory
     budget or sits too high for int64 arithmetic.
@@ -102,13 +114,15 @@ def sigma_range(lo: int, hi: int) -> np.ndarray:
     live = np.flatnonzero((ahead < size) & ~squared)
     large, ahead = large[live], ahead[live]
 
-    sig = np.empty(size, dtype=np.int64)
+    # The only difference between the two forms: where a block is written.
+    sig = np.empty(size if visit is None else block, dtype=np.int64)
     smooth = np.empty(block, dtype=np.int64)
     wheel_sig, wheel_smooth = _wheel()
     for start in range(0, size, block):
         stop = min(start + block, size)
         at = lo + start
-        part, part_smooth = sig[start:stop], smooth[: stop - start]
+        part = sig[start:stop] if visit is None else sig[: stop - start]
+        part_smooth = smooth[: stop - start]
         _tile(part, wheel_sig, at)
         _tile(part_smooth, wheel_smooth, at)
         for p, k in _WHEEL_POWERS:
@@ -132,7 +146,9 @@ def sigma_range(lo: int, hi: int) -> np.ndarray:
         rest //= part_smooth
         rest += rest != 1
         part *= rest
-    return sig
+        if visit is not None:
+            visit(at, part)
+    return sig if visit is None else None
 
 
 def check_height(hi: int) -> None:
@@ -269,10 +285,11 @@ def _sieve_prime_batch(sig: np.ndarray, smooth: np.ndarray, lo: int, primes: np.
 def index_hits(sig: np.ndarray, lo: int, num: int, den: int) -> list[int]:
     """Every n in [lo, lo + len(sig)) with den * sig[n - lo] == num * n, ascending.
 
-    ``sig`` is sigma over that segment, as ``sigma_range`` returns it, so
-    the hits are the values of abundancy index num/den. The test wraps in
-    uint64: it misses no hit, but where num * n / den passes 2^64 a value
-    can match mod 2^64 only, so callers re-verify hits exactly.
+    ``sig`` is sigma over that segment, as ``sigma_range`` returns it or
+    hands one block of it to a visitor, so the hits are the values of
+    abundancy index num/den. The test wraps in uint64: it misses no hit, but
+    where num * n / den passes 2^64 a value can match mod 2^64 only, so
+    callers re-verify hits exactly.
     """
     # den * sigma(n) == num * n makes step = den / g divide n, and for
     # n = step * k it reads sigma(n) == k * (num / g).

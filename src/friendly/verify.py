@@ -161,7 +161,8 @@ def _lemma21_weak_multiplicativity(t: _Tally) -> None:
 
 
 def _lemma21_monotone(t: _Tally) -> None:
-    cache = {k: abundancy_index(k) for k in range(1, 10_001)}
+    # Only the indices the loop reads: n <= 1000 and alpha * n.
+    cache = {k: abundancy_index(k) for k in {a * n for n in range(1, 1001) for a in range(1, 11)}}
     for n in range(1, 1001):
         base = cache[n]
         for alpha in range(2, 11):

@@ -49,3 +49,14 @@ def test_cli_import_loads_every_layer():
         "assert not missing, missing\n"
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_loads_no_process_pool():
+    # scan imports its pool only for workers > 1, so one-shot commands skip it.
+    result = run_python(
+        "import sys\n"
+        "import friendly.cli\n"
+        "loaded = [m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    assert result.returncode == 0, result.stderr

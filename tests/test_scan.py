@@ -1,5 +1,6 @@
 """Segmented scanning, checkpointing, and structured enumeration."""
 
+import concurrent.futures
 import importlib
 import json
 import math
@@ -115,6 +116,16 @@ def test_sigma_range_memory_is_its_output_plus_block_scratch(lo):
     assert peak <= 2 * values.nbytes, peak / values.nbytes
 
 
+@pytest.mark.parametrize("lo", [1, 10 ** 9 + 3])
+def test_sigma_range_visitor_gets_the_array_block_by_block(lo):
+    hi = lo + 2 * BLOCK + 777
+    seen = []
+    assert sigma_range(lo, hi, lambda at, block: seen.append((at, block.copy()))) is None
+    assert [at for at, _ in seen] == [lo, lo + BLOCK, lo + 2 * BLOCK]
+    assert [len(block) for _, block in seen] == [BLOCK, BLOCK, 777]
+    assert np.concatenate([block for _, block in seen]).tolist() == sigma_range(lo, hi).tolist()
+
+
 def test_scan_sieves_its_base_primes_once(monkeypatch):
     calls = []
     primes_through = sieve._primes_through
@@ -223,6 +234,41 @@ def test_scan_range_only_ten_shares_its_index():
     assert record.hits == (10,)
 
 
+@pytest.mark.parametrize("lo", [1, 10 ** 9 + 3])
+def test_scan_range_matches_the_whole_array_across_block_edges(lo):
+    # Three blocks, the last one short. Of their first values, at each lo
+    # two are not multiples of 5.
+    hi = lo + 2 * BLOCK + 777
+    values = sigma_range(lo, hi)
+    checksum = int(np.add.reduce(values.view(np.uint64), dtype=np.uint64))
+    # The index of the last value of a block and of the first of the next:
+    # the block holding n0 starts off and on a multiple of n0's denominator.
+    edges = [lo + BLOCK - 1, lo + BLOCK, lo + 2 * BLOCK - 1, lo + 2 * BLOCK]
+    cases = [(None, Fraction(9, 5)), (None, Fraction(2))]
+    cases += [(n0, Fraction(int(values[n0 - lo]), n0)) for n0 in edges]
+    for n0, target in cases:
+        record = scan_range(lo, hi, target)
+        assert record.checksum == checksum
+        assert list(record.hits) == index_hits(values, lo, target.numerator, target.denominator)
+        assert n0 is None or n0 in record.hits
+
+
+def test_scan_range_memory_does_not_grow_with_width():
+    block_bytes = BLOCK * 8  # one int64 block buffer
+    scan_range(10 ** 12, 10 ** 12 + 2 ** 22, Fraction(9, 5))  # caches the base primes and the wheel
+    for lo in (1, 10 ** 12):
+        peaks = []
+        for width in (2 ** 20, 2 ** 22):
+            tracemalloc.start()
+            try:
+                scan_range(lo, lo + width, Fraction(9, 5))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= block_bytes, (lo, peaks)
+        assert max(peaks) < 8 * block_bytes, (lo, peaks)
+
+
 def test_scan_range_rejects_empty_or_bad_ranges():
     with pytest.raises(ValueError):
         scan_range(2, 2, Fraction(2))
@@ -318,7 +364,6 @@ def test_scan_deterministic_across_worker_counts():
 
 
 def test_scan_keeps_at_most_two_segments_per_worker_in_flight(monkeypatch):
-    module = importlib.import_module("friendly.scan")
     counts = {"submitted": 0, "taken": 0, "peak": 0}
 
     class CountingPool(ThreadPoolExecutor):
@@ -337,7 +382,8 @@ def test_scan_keeps_at_most_two_segments_per_worker_in_flight(monkeypatch):
             future.result = taken
             return future
 
-    monkeypatch.setattr(module, "ProcessPoolExecutor", CountingPool)
+    # scan imports the pool when it needs one, from concurrent.futures.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     pooled = scan(200_000, Fraction(9, 5), workers=2, segment_size=1 << 12)
     solo = scan(200_000, Fraction(9, 5), workers=1, segment_size=1 << 12)
     assert counts["submitted"] == counts["taken"] == 49
