@@ -63,6 +63,14 @@ def parse_natural(text: str) -> int:
     return value
 
 
+def parse_positive(text: str) -> int:
+    """A natural number of at least 1, in any form ``parse_natural`` reads."""
+    value = parse_natural(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def parse_index(text: str) -> Fraction:
     """A positive exact ratio written P/Q."""
     num, sep, den = text.strip().partition("/")
@@ -310,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     _option(p, "--bound", type=parse_natural, required=True)
     _option(p, "--index", type=parse_index, required=True, help="target index P/Q")
     _option(p, "--resume", help="checkpoint path; created if missing")
-    _option(p, "--workers", type=parse_natural, default=1)
-    _option(p, "--segment-size", type=parse_natural, default=DEFAULT_SEGMENT_SIZE)
+    _option(p, "--workers", type=parse_positive, default=1)
+    _option(p, "--segment-size", type=parse_positive, default=DEFAULT_SEGMENT_SIZE)
     common(p, _cmd_scan)
 
     p = sub.add_parser("verify", help="run exhaustive verification suites")

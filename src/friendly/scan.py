@@ -306,8 +306,8 @@ def scan(
     Segments are computed from their index and every record is folded into
     the totals as it arrives, so besides ``new_records`` the driver keeps per
     segment only its start, once done, and its hits. A bound too high or a
-    segment too wide to sieve, a target <= 0 and a negative
-    ``max_segments`` are refused before any file is made.
+    segment too wide to sieve, a target <= 0, a negative ``max_segments``
+    and ``workers`` < 1 are refused before any file is made.
     """
     target = _positive(target)
     sieve.check_height(bound)
@@ -315,6 +315,8 @@ def scan(
     sieve.check_width(min(segment_size, bound - 1))
     if max_segments is not None and max_segments < 0:
         raise ValueError(f"max_segments must be None or >= 0, got {max_segments}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
     done: set[int] = set()
     hits: list[int] = []

@@ -1,29 +1,30 @@
 """Batched sum-of-divisors over integer segments, and index matching on them.
 
-A segmented prime-power sieve that never divides inside its loops. For
-every prime p <= sqrt(hi - 1), sigma(p^e) is multiplied into ``sig`` and p^e
-into ``smooth`` at each multiple of p, where p^e is the largest power of p
-dividing that value. One division at the end, n // smooth, leaves 1 or the
-one prime factor of n above sqrt(n), which contributes itself + 1.
+A segmented prime-power sieve. For every prime p <= sqrt(hi - 1), sigma(p^e)
+ends up as a factor of ``sig`` and p^e of ``smooth`` at each multiple of p,
+where p^e is the largest power of p dividing that value. One division at the
+end, n // smooth, leaves 1 or the one prime factor of n above sqrt(n), which
+contributes itself + 1.
 
 The segment is sieved in blocks of _BLOCK values, each finished before the
-next starts. ``smooth`` and every other scratch array is block-sized, to
-stay in cache. Given a visitor, a call hands each finished block to it and
-reuses one block-sized output buffer, so it holds block scratch and
-per-prime state of O(pi(sqrt(hi))) entries, whatever the width; only the
-form that returns the whole segment allocates an array as long as it.
-In each block ``sig`` and ``smooth`` start as a repeated table holding 2, 3
-and 5 to low powers (a wheel); those primes are then sieved only where a
-higher power divides. Every other prime with many multiples in a block is
-sieved with strided slices, one loop iteration per prime. Primes below the
-block length with at most about _STRIDED_MULTIPLES multiples per block are
-sieved a batch of primes at a time with unbuffered scatter updates. A prime
-no smaller than the block length divides at most one value of a block, so
-each such prime keeps the offset of its next multiple, and a block touches
-only the primes whose next multiple falls inside it (as in T. Oliveira e
-Silva, S. Herzog and S. Pardi, Math. Comp. 83 (2014)). All arithmetic is
-int64 with an explicit headroom guard, so results are exact, never floating
-point.
+next starts, with block-sized scratch that stays in cache. Given a visitor,
+a call hands each finished block to it in one reused buffer, so it holds
+block scratch and per-prime state of O(pi(sqrt(hi))) entries, whatever the
+width; only the form that returns the whole segment allocates that much.
+
+Each block starts from a repeated table holding 2, 3 and 5 to low powers (a
+wheel). Every other prime p multiplies p + 1 into ``sig`` and p into
+``smooth`` at each of its multiples, as if every exponent were 1. Then, for
+j = 2, 3, ... in turn, each q = p^j swaps sigma(p^(j-1)) for sigma(p^j) at
+its multiples: an exact division, since that factor went in one level
+below, then a multiplication. A power with more than _STRIDED_MULTIPLES
+multiples in a block, and each higher power of the wheel's primes, goes by
+strides; the others below the block length by unbuffered scatters, in
+chunks of at most about _SCATTER_ENTRIES entries. A power no smaller than
+the block length divides at most one value of a block and keeps the offset
+of its next multiple (as in T. Oliveira e Silva, S. Herzog and S. Pardi,
+Math. Comp. 83 (2014)). All arithmetic is int64 with a headroom guard, so
+results are exact, never floating point.
 
 The base primes are sieved once per process, for the highest segment seen
 or the bound given to ``cover``, and sliced for lower segments.
@@ -34,7 +35,9 @@ den / gcd(num, den) only, in wrapping uint64; callers re-verify its hits.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import threading
 from typing import Callable, Optional
@@ -47,21 +50,21 @@ MAX_SEGMENT = 1 << 24
 # Robin (1984): sigma(n)/n < e^gamma ln ln n + 0.6483 / ln ln n for n >= 3,
 # which is below 6.5 for 4 <= n <= 2^50. So sigma(n) < 2^53 there and int64
 # has 2^10 of headroom (the index does pass 6 below 2^50, at 1.3e14). Every
-# sieve intermediate is bounded by n or sigma(n): a power pw <= p^e and every
-# partial product in smooth divide n, the quotient n // smooth and its
-# successor are <= n + 1, a running sum acc <= sigma(p^e), and every partial
-# product in sig <= sigma(n). Scatter index arithmetic stays below 2^45, and
-# the square of a base prime below 2^50. Only the sieve relies on this bound.
+# sieve intermediate is bounded by n or sigma(n): each power p^j formed is at
+# most hi - 1, every partial product in smooth divides n, the quotient
+# n // smooth and its successor are <= n + 1, and since a swap divides before
+# it multiplies, every partial product in sig divides sigma(n). Scatter index
+# arithmetic stays below 2^45. Only the sieve relies on this bound.
 _VALUE_LIMIT = 1 << 50
 # Values sieved at a time: 1 MB of int64, so block scratch stays in cache.
 _BLOCK = 1 << 17
-# A prime with more multiples than this in a block is sieved by strides.
+# A prime power with more multiples than this in a block goes by strides.
 _STRIDED_MULTIPLES = 128
-# Below p^k, how often p divides n repeats with period p^k: these primes
-# come from a precomputed table and are sieved by strides only from p^k on.
+# Up to p^k, how often p divides n repeats with period p^k: these primes
+# come from a precomputed table and are sieved by strides only from p^(k+1).
 _WHEEL_POWERS = ((2, 5), (3, 3), (5, 2))
-# Primes per scatter batch; bounds its arrays by about 2^19 entries.
-_BATCH_PRIMES = 4096
+# Entries per scatter chunk, in any block; bounds its index arrays.
+_SCATTER_ENTRIES = 1 << 12
 
 # (limit, the primes <= limit): replaced whole under the lock, never mutated.
 _base: tuple[int, np.ndarray] = (1, np.empty(0, dtype=np.int64))
@@ -94,25 +97,7 @@ def sigma_range(
 
     size = hi - lo
     block = min(size, _BLOCK)
-    # The wheel's primes are the first ones; the wheel covers them.
-    primes = _base_primes(math.isqrt(hi - 1))[len(_WHEEL_POWERS) :]
-    cut = int(np.searchsorted(primes, block // _STRIDED_MULTIPLES))
-    top = int(np.searchsorted(primes, block))
-    strided = primes[:cut].tolist()
-    batched = primes[cut:top]
-    # A prime >= block divides at most one value of a block. ahead holds the
-    # offset from lo of its next multiple. The rare one whose square divides
-    # a value here needs sigma(p^e), so it goes by strides. Only the others
-    # with a multiple in the segment are kept, so blocks scan no more primes
-    # than can hit them (near 2^50, about a seventh of them).
-    large = primes[top:]
-    ahead = large * large
-    np.remainder(-lo, ahead, out=ahead)
-    squared = ahead < size
-    strided += large[squared].tolist()
-    np.remainder(-lo, large, out=ahead)
-    live = np.flatnonzero((ahead < size) & ~squared)
-    large, ahead = large[live], ahead[live]
+    levels = _levels(lo, hi, block)
 
     # The only difference between the two forms: where a block is written.
     sig = np.empty(size if visit is None else block, dtype=np.int64)
@@ -126,20 +111,20 @@ def sigma_range(
         _tile(part, wheel_sig, at)
         _tile(part_smooth, wheel_smooth, at)
         for p, k in _WHEEL_POWERS:
-            _sieve_prime(part, part_smooth, at, p, p ** k)
-        for p in strided:
-            _sieve_prime(part, part_smooth, at, p, p)
-        for first in range(0, len(batched), _BATCH_PRIMES):
-            _sieve_prime_batch(part, part_smooth, at, batched[first : first + _BATCH_PRIMES])
-        hit = np.flatnonzero(ahead < stop)
-        if len(hit):
-            p = large[hit]
-            where = ahead[hit]
-            ahead[hit] = where + p
-            where -= start
-            # Unbuffered: two primes can divide the same value.
-            np.multiply.at(part, where, p + 1)
-            np.multiply.at(part_smooth, where, p)
+            q = p ** (k + 1)
+            while -at % q < len(part):  # q's multiples hold every higher power's
+                _stride(part, part_smooth, at, q, p)
+                q *= p
+        for j, (strided, scattered, sparse_q, sparse_p, ahead) in enumerate(levels, 1):
+            for q, p in strided:
+                _stride(part, part_smooth, at, q, p)
+            for q, p in scattered:
+                _scatter(part, part_smooth, at, q, p, j)
+            hit = np.flatnonzero(ahead < stop)
+            if len(hit):
+                q, where = sparse_q[hit], ahead[hit]
+                ahead[hit] = where + q
+                _swap(part, part_smooth, where - start, q, sparse_p[hit], j)
         # Exact, since smooth divides n: rest is 1 or a prime. In place, since
         # temporaries here set peak memory.
         rest = np.arange(at, lo + stop, dtype=np.int64)
@@ -176,15 +161,14 @@ def cover(hi: int) -> None:
 @functools.cache
 def _wheel() -> tuple[np.ndarray, np.ndarray]:
     """For each residue r modulo prod p^k over _WHEEL_POWERS: sigma and the
-    value of r's part made of those primes, counting p only where p^k does
-    not divide r. Read-only."""
+    value of r's part made of those primes, each counted to at most p^k.
+    Read-only."""
     period = math.prod(p ** k for p, k in _WHEEL_POWERS)
     r = np.arange(period)
     sig = np.ones(period, dtype=np.int64)
     smooth = np.ones(period, dtype=np.int64)
     for p, k in _WHEEL_POWERS:
-        e = sum((r % p ** j == 0).astype(np.int64) for j in range(1, k))
-        e[r % p ** k == 0] = 0
+        e = sum((r % p ** j == 0).astype(np.int64) for j in range(1, k + 1))
         smooth *= p ** e
         sig *= (p ** (e + 1) - 1) // (p - 1)
     sig.flags.writeable = smooth.flags.writeable = False
@@ -234,52 +218,68 @@ def _primes_through(limit: int) -> np.ndarray:
     return np.flatnonzero(flags)
 
 
-def _sieve_prime(sig: np.ndarray, smooth: np.ndarray, lo: int, p: int, q: int) -> None:
-    """Sieve one prime p at the multiples of q = p^k, by strides.
+def _levels(lo: int, hi: int, block: int) -> list[tuple]:
+    """For j = 1, 2, ...: the powers q = p^j <= hi - 1 of the primes p >= 7
+    that have a multiple in [lo, hi), as (q, p) pairs to stride, chunks of
+    (q, p) arrays to scatter, and arrays q and p of the powers >= block with
+    ahead, the offset from lo of each one's next multiple."""
+    size, top = hi - lo, hi - 1
+    levels = []
+    # The wheel's primes are the first ones; blocks sieve them by strides.
+    p = q = _base_primes(math.isqrt(top))[len(_WHEEL_POWERS) :]
+    for j in itertools.count(1):
+        cut, dense = np.searchsorted(q, (block // _STRIDED_MULTIPLES, block)).tolist()
+        # Only powers >= block with a multiple here are kept (near 2^50, 1 in 7).
+        ahead = np.remainder(-lo, q[dense:])
+        live = np.flatnonzero(ahead < size)
+        ahead = ahead[live]
+        kept = np.concatenate((np.arange(dense), live + dense))
+        q, p = (q[kept],) * 2 if p is q else (q[kept], p[kept])  # p is q at level 1
+        # Chunks of at most about _SCATTER_ENTRIES entries in any block.
+        ends = np.cumsum(block // q[cut:dense] + 1).tolist()
+        starts = [cut + bisect.bisect_left(ends, e) for e in range(0, ends[-1] if ends else 0, _SCATTER_ENTRIES)]
+        scattered = [(q[a:b], p[a:b]) for a, b in zip(starts, starts[1:] + [dense])]
+        strided = list(zip(q[:cut].tolist(), p[:cut].tolist()))
+        levels.append((strided, scattered, q[dense:], p[dense:], ahead))
+        # p^(j+1) <= top, tested before p^(j+1) is formed so that it cannot wrap.
+        n = bisect.bisect_right(p, top, key=lambda x: int(x) ** (j + 1))
+        if not n:
+            return levels
+        p, q = p[:n], q[:n] * p[:n]
 
-    p and q are Python ints, so p^k cannot wrap.
-    """
-    size = len(sig)
-    start = -lo % q
-    multiples = slice(start, size, q)
-    pk = q * p
-    s = -lo % pk
-    if s >= size:
-        sig[multiples] *= (pk - 1) // (p - 1)
-        smooth[multiples] *= q
-        return
-    # For the j-th multiple of q, acc[j] builds sigma(p^e) and pw[j] builds
-    # p^e, one power at a time.
-    count = len(range(start, size, q))
-    acc = np.full(count, (pk - 1) // (p - 1), dtype=np.int64)
-    pw = np.full(count, q, dtype=np.int64)
-    while s < size:
-        higher = slice((s - start) // q, count, pk // q)
-        acc[higher] += pk
-        pw[higher] *= p
-        pk *= p
-        s = -lo % pk
-    sig[multiples] *= acc
-    smooth[multiples] *= pw
 
-
-def _sieve_prime_batch(sig: np.ndarray, smooth: np.ndarray, lo: int, primes: np.ndarray) -> None:
-    """Sieve primes that each have few multiples in the segment, all at once."""
-    size = len(sig)
-    squared = -lo % (primes * primes) < size
-    # The rare prime whose square divides a value here needs sigma(p^e).
-    for p in primes[squared].tolist():
-        _sieve_prime(sig, smooth, lo, p, p)
-    primes = primes[~squared]
-    counts = (lo + size - 1) // primes - (lo - 1) // primes
-    step = np.repeat(primes, counts)
-    # The k-th entry overall, the j-th multiple of its prime p, sits at
-    # start_p + j * p, with j = k - (entries of earlier primes).
+def _scatter(sig: np.ndarray, smooth: np.ndarray, at: int, q: np.ndarray, p: np.ndarray, j: int) -> None:
+    """Swap sigma(p^j) in at every multiple of each q = p^j in a block."""
+    counts = (at + len(sig) - 1) // q - (at - 1) // q
+    step = np.repeat(q, counts)
+    # The k-th entry overall, the i-th multiple of its q, sits at
+    # first_q + i * q, with i = k - (entries of earlier powers).
     before = np.cumsum(counts) - counts
-    at = np.repeat(-lo % primes - before * primes, counts) + np.arange(len(step)) * step
-    # Unbuffered: two primes of a batch can divide the same value.
-    np.multiply.at(sig, at, step + 1)
-    np.multiply.at(smooth, at, step)
+    where = np.repeat(-at % q - before * q, counts) + np.arange(len(step)) * step
+    _swap(sig, smooth, where, step, np.repeat(p, counts), j)
+
+
+def _stride(sig: np.ndarray, smooth: np.ndarray, at: int, q: int, p: int) -> None:
+    """Turn sigma(p^(j-1)) into sigma(p^j) at every multiple of q = p^j in a
+    block, by strides, and multiply p into smooth there."""
+    old = (q - 1) // (p - 1)
+    view = sig[-at % q :: q]
+    if old > 1:
+        view //= old  # exact, since sigma(p^(j-1)) is a factor of each value
+    view *= old + q
+    view = smooth[-at % q :: q]
+    view *= p
+
+
+def _swap(sig: np.ndarray, smooth: np.ndarray, where: np.ndarray, q: np.ndarray, p: np.ndarray, j: int) -> None:
+    """Turn sigma(p^(j-1)) into sigma(p^j) in sig[where], q = p^j, and multiply
+    p into smooth[where], unbuffered: two powers can divide the same value."""
+    old = 1
+    if j > 1:
+        old = (q - 1) // (p - 1)
+        np.floor_divide.at(sig, where, old)  # exact, as in _stride
+    np.multiply.at(sig, where, old + q)
+    np.multiply.at(smooth, where, p)
 
 
 def index_hits(sig: np.ndarray, lo: int, num: int, den: int) -> list[int]:

@@ -248,6 +248,9 @@ def test_check_rejects_bad_q_factors(run_cli):
         (("scan", "--bound", "100"), "--index", "9/0", "index denominator must be nonzero, got '9/0'"),
         (("check", "--a", "1"), "--q-factors", "4^2", "4 is not prime in '4^2'"),
         (("check", "--a", "1"), "--q-factors", "7,7", "primes must increase strictly: 7 after 7 in '7,7'"),
+        (("scan", "--bound", "100", "--index", "9/5"), "--segment-size", "0", "expected a positive integer, got '0'"),
+        (("scan", "--bound", "100", "--index", "9/5"), "--workers", "0", "expected a positive integer, got '0'"),
+        (("scan", "--bound", "100", "--index", "9/5"), "--workers", "-2", "expected a natural number, got '-2'"),
     ],
 )
 def test_usage_error_keeps_the_parsers_reason(run_cli, args, flag, value, reason):

@@ -81,7 +81,7 @@ def test_sigma_range_across_block_edges(lo, size):
     assert sigma_range(lo, lo + size).tolist() == divisor_sums(lo, lo + size).tolist()
 
 
-# 999983 is above the block length, so its square takes the rare-square path.
+# 999983 is above the block length, so its square is one offset in a block.
 @pytest.mark.parametrize(
     "lo",
     [
@@ -100,6 +100,31 @@ def test_sigma_range_large_prime_square_at_a_block_edge(lo):
     # ... and the values by the square and at both ends against factorize.
     square = 999983 ** 2
     near = set(range(square - 300, square + 300)) | set(range(lo, lo + 100)) | set(range(hi - 100, hi))
+    for n in sorted(v for v in near if lo <= v < hi):
+        assert int(values[n - lo]) == sigma(factorize(n)), n
+
+
+# Two prime powers q = p^j for each way a block applies one: by strides
+# (q < BLOCK // _STRIDED_MULTIPLES), by chunked scatters (q < BLOCK) and by
+# the offset of its next multiple (q >= BLOCK).
+EDGE_POWERS = [7 ** 3, 31 ** 2, 101 ** 2, 7 ** 5, 1021 ** 2, 7 ** 7]
+
+
+def test_edge_powers_cover_every_path():
+    strided = BLOCK // sieve._STRIDED_MULTIPLES
+    assert [(q < strided) + (q < BLOCK) for q in EDGE_POWERS] == [2, 2, 1, 1, 0, 0]
+
+
+@pytest.mark.parametrize("q", EDGE_POWERS)
+@pytest.mark.parametrize("edge", [-1, 0])  # a multiple of q ends the first block, or opens the second
+def test_sigma_range_prime_power_at_a_block_edge(q, edge):
+    m = q * (10 ** 9 // q)
+    lo = m - BLOCK - edge
+    hi = lo + BLOCK + 300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = sigma_range(lo, hi)
+    near = set(range(m - 300, m + 300)) | {m - q, m + q} | set(range(lo, lo + 100)) | set(range(hi - 100, hi))
     for n in sorted(v for v in near if lo <= v < hi):
         assert int(values[n - lo]) == sigma(factorize(n)), n
 
@@ -173,6 +198,13 @@ def test_sieve_agrees_with_factorization_path():
         (2 ** 40 - 300, 2 ** 40 + 300),  # powers of the wheel's primes past the wheel
         (3 ** 25 - 300, 3 ** 25 + 300),
         (5 ** 17 - 300, 5 ** 17 + 300),
+        (104021 ** 3 - 300, 104021 ** 3 + 300),  # the highest prime cube below 2^50
+        (131101 ** 2 - 300, 131101 ** 2 + 300),  # the square of a prime above 2^17
+        # Several swaps on one value: two scattered squares, two squares at
+        # or above the block length, and three strided powers.
+        (101 ** 2 * 103 ** 2 - 300, 101 ** 2 * 103 ** 2 + 300),
+        (1021 ** 2 * 1031 ** 2 - 300, 1021 ** 2 * 1031 ** 2 + 300),
+        (7 ** 2 * 11 ** 3 * 13 ** 2 * 10 ** 6 - 300, 7 ** 2 * 11 ** 3 * 13 ** 2 * 10 ** 6 + 300),
     ],
 )
 def test_sigma_range_matches_factorization_at_height(lo, hi):
@@ -269,6 +301,24 @@ def test_scan_range_memory_does_not_grow_with_width():
         assert max(peaks) < 8 * block_bytes, (lo, peaks)
 
 
+# The warm peaks of the sieve that built each prime's powers one prime at a
+# time were 4,202,385 bytes at 2^24 and 6,573,130 bytes at 10^12. At 2^24
+# the ceiling adds about 10%; at 10^12 the level sieve peaks about 18% below
+# the old one, and one scatter over all its primes below the block length
+# (6.7 MB) goes past the old peak itself.
+@pytest.mark.parametrize("lo, ceiling", [(2 ** 24, 4_600_000), (10 ** 12, 6_573_130)])
+def test_scan_range_peak_memory_has_a_ceiling(lo, ceiling):
+    hi = lo + 2 ** 20
+    scan_range(lo, hi, Fraction(9, 5))  # caches the base primes and the wheel
+    tracemalloc.start()
+    try:
+        scan_range(lo, hi, Fraction(9, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ceiling, peak
+
+
 def test_scan_range_rejects_empty_or_bad_ranges():
     with pytest.raises(ValueError):
         scan_range(2, 2, Fraction(2))
@@ -300,6 +350,14 @@ def test_negative_max_segments_is_refused_before_any_file(tmp_path):
     # Zero is a valid cap: the run starts and scans nothing.
     outcome = scan(1000, Fraction(2), segment_size=100, max_segments=0, checkpoint_path=checkpoint)
     assert outcome.segments_done == 0 and outcome.frontier == 1 and not outcome.complete
+
+
+def test_fewer_than_one_worker_is_refused_before_any_file(tmp_path):
+    checkpoint = tmp_path / "cp"
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            scan(1000, Fraction(2), workers=workers, checkpoint_path=checkpoint)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_past_the_sieve_limit_fails_before_any_file(tmp_path):
