@@ -24,7 +24,7 @@ from typing import Optional
 from .abundancy import abundancy_index, find_friends, solitary_certificate
 from .arith import FactoringBudgetError, Factorization, factorize, sigma
 from .friend10 import Candidate, derive_residue_class, filter_chain
-from .scan import DEFAULT_SEGMENT_SIZE, CheckpointError, _fraction_str, scan
+from .scan import DEFAULT_SEGMENT_SIZE, WORKERS_PER_CPU, CheckpointError, _fraction_str, max_workers, scan
 from .sieve import SieveBudgetError
 from .verify import SUITE_NAMES, run_suites
 
@@ -68,6 +68,14 @@ def parse_positive(text: str) -> int:
     value = parse_natural(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def parse_workers(text: str) -> int:
+    """A worker count from 1 to ``scan.max_workers()``, WORKERS_PER_CPU per CPU."""
+    value = parse_positive(text)
+    if value > max_workers():
+        raise argparse.ArgumentTypeError(f"at most {max_workers()} workers ({WORKERS_PER_CPU} per CPU), got {text!r}")
     return value
 
 
@@ -318,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     _option(p, "--bound", type=parse_natural, required=True)
     _option(p, "--index", type=parse_index, required=True, help="target index P/Q")
     _option(p, "--resume", help="checkpoint path; created if missing")
-    _option(p, "--workers", type=parse_positive, default=1)
+    _option(p, "--workers", type=parse_workers, default=1)
     _option(p, "--segment-size", type=parse_positive, default=DEFAULT_SEGMENT_SIZE)
     common(p, _cmd_scan)
 

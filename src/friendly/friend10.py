@@ -2,10 +2,13 @@
 
 Any integer sharing 10's abundancy index 9/5 must be an odd square of the
 form 5^(2a) * Q^2 with Q odd and coprime to 15, at least seven distinct
-prime factors, and 5 as its least prime. Each further necessary condition
-is exposed here as its own predicate plus a named rule; `filter_chain` runs
-them in a fixed cheapest-first order and reports which rule, if any, kills
-a candidate. Every check is exact integer or rational arithmetic.
+prime factors, and 5 as its least prime. The bound of seven distinct primes
+is taken without a source in this repository; only the structural checks
+(``structural_precheck`` and the ``structural`` rule) use it. Each further
+necessary condition is exposed here as its own predicate plus a named rule;
+`filter_chain` runs them in a fixed cheapest-first order and reports which
+rule, if any, kills a candidate. Every check is exact integer or rational
+arithmetic.
 """
 
 from __future__ import annotations

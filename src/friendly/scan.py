@@ -36,16 +36,21 @@ __all__ = [
     "CheckpointMismatchError",
     "CheckpointVersionError",
     "DEFAULT_SEGMENT_SIZE",
+    "WORKERS_PER_CPU",
     "ScanOutcome",
     "ScanRecord",
     "checkpoint_load",
     "checkpoint_save",
+    "max_workers",
     "read_records",
     "scan",
     "scan_range",
 ]
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
+# A forked pool starts every worker at its first task, so a count past a few
+# per CPU would only start processes; ``scan`` refuses more than this.
+WORKERS_PER_CPU = 4
 CHECKPOINT_VERSION = 2
 _U64 = (1 << 64) - 1
 # What decoding a well-formed JSON value of the wrong shape can raise.
@@ -279,6 +284,11 @@ class ScanOutcome:
     new_records: tuple[ScanRecord, ...]
 
 
+def max_workers() -> int:
+    """The most workers ``scan`` accepts: WORKERS_PER_CPU per CPU."""
+    return WORKERS_PER_CPU * (os.cpu_count() or 1)
+
+
 def _scan_segment_task(lo: int, hi: int, num: int, den: int) -> ScanRecord:
     return scan_range(lo, hi, Fraction(num, den))
 
@@ -307,7 +317,8 @@ def scan(
     the totals as it arrives, so besides ``new_records`` the driver keeps per
     segment only its start, once done, and its hits. A bound too high or a
     segment too wide to sieve, a target <= 0, a negative ``max_segments``
-    and ``workers`` < 1 are refused before any file is made.
+    and ``workers`` outside [1, max_workers()] are refused before any file
+    is made.
     """
     target = _positive(target)
     sieve.check_height(bound)
@@ -315,8 +326,8 @@ def scan(
     sieve.check_width(min(segment_size, bound - 1))
     if max_segments is not None and max_segments < 0:
         raise ValueError(f"max_segments must be None or >= 0, got {max_segments}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= max_workers():
+        raise ValueError(f"workers must be from 1 to {max_workers()} ({WORKERS_PER_CPU} per CPU), got {workers}")
 
     done: set[int] = set()
     hits: list[int] = []

@@ -1,35 +1,29 @@
 """Batched sum-of-divisors over integer segments, and index matching on them.
 
-A segmented prime-power sieve. For every prime p <= sqrt(hi - 1), sigma(p^e)
-ends up as a factor of ``sig`` and p^e of ``smooth`` at each multiple of p,
-where p^e is the largest power of p dividing that value. One division at the
-end, n // smooth, leaves 1 or the one prime factor of n above sqrt(n), which
-contributes itself + 1.
+A segmented prime-power sieve, in blocks of _BLOCK values that stay in
+cache. At each multiple n of a prime p <= sqrt(hi - 1), with p^e the largest
+power of p dividing n, sigma(p^e) becomes a factor of ``sig`` and p^e leaves
+``rest``, which starts at n; what is left, 1 or the prime factor of n above
+sqrt(n), contributes itself + 1. ``rest`` loses 2 by right shifts and an odd
+p by multiplications by p^-1 mod 2^64 (T. Jebelean, J. Symbolic Comput. 15
+(1993)): it is an exact quotient, never above n, so its wrapped uint64
+product is exact and no division is needed.
 
-The segment is sieved in blocks of _BLOCK values, each finished before the
-next starts, with block-sized scratch that stays in cache. Given a visitor,
-a call hands each finished block to it in one reused buffer, so it holds
-block scratch and per-prime state of O(pi(sqrt(hi))) entries, whatever the
-width; only the form that returns the whole segment allocates that much.
+Each block starts from repeated tables for 2, 3 and 5 to low powers (a
+wheel). Every other prime p puts in p + 1 and takes out p at each multiple:
+by strides if dense, by unbuffered scatters in chunks if below the block
+length, else by the offset of its next multiple (as in T. Oliveira e Silva,
+S. Herzog and S. Pardi, Math. Comp. 83 (2014)). A dense higher power p^j
+then swaps sigma(p^(j-1)) for sigma(p^j) by strides, an exact division and a
+multiplication. A table made once per segment holds, for each multiple m of
+p's first sparse power p^s, the swap from sigma(p^(s-1)) to sigma(p^e),
+e = v_p(m), and the p^(e-s+1) to take out. ``sig`` is int64 with a headroom
+guard, so results are exact, never floating point.
 
-Each block starts from a repeated table holding 2, 3 and 5 to low powers (a
-wheel). Every other prime p multiplies p + 1 into ``sig`` and p into
-``smooth`` at each of its multiples, as if every exponent were 1. Then, for
-j = 2, 3, ... in turn, each q = p^j swaps sigma(p^(j-1)) for sigma(p^j) at
-its multiples: an exact division, since that factor went in one level
-below, then a multiplication. A power with more than _STRIDED_MULTIPLES
-multiples in a block, and each higher power of the wheel's primes, goes by
-strides; the others below the block length by unbuffered scatters, in
-chunks of at most about _SCATTER_ENTRIES entries. A power no smaller than
-the block length divides at most one value of a block and keeps the offset
-of its next multiple (as in T. Oliveira e Silva, S. Herzog and S. Pardi,
-Math. Comp. 83 (2014)). All arithmetic is int64 with a headroom guard, so
-results are exact, never floating point.
-
-The base primes are sieved once per process, for the highest segment seen
-or the bound given to ``cover``, and sliced for lower segments.
-
-The matcher compares sigma(n) with num * n / den at the multiples of
+A call holds block scratch and O(pi(sqrt(hi))) per-prime state whatever the
+width. The base primes are sieved once per process, for the highest segment
+seen or the bound given to ``cover``, and sliced for lower segments. The
+matcher compares sigma(n) with num * n / den at the multiples of
 den / gcd(num, den) only, in wrapping uint64; callers re-verify its hits.
 """
 
@@ -37,31 +31,31 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import threading
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 __all__ = ["MAX_SEGMENT", "SieveBudgetError", "check_height", "check_width", "cover", "index_hits", "sigma_range"]
 
+# The widest segment: a policy on checkpoint granularity (the work one record
+# holds), not a memory budget, since a call's memory does not grow with width.
 MAX_SEGMENT = 1 << 24
 # Robin (1984): sigma(n)/n < e^gamma ln ln n + 0.6483 / ln ln n for n >= 3,
-# which is below 6.5 for 4 <= n <= 2^50. So sigma(n) < 2^53 there and int64
-# has 2^10 of headroom (the index does pass 6 below 2^50, at 1.3e14). Every
-# sieve intermediate is bounded by n or sigma(n): each power p^j formed is at
-# most hi - 1, every partial product in smooth divides n, the quotient
-# n // smooth and its successor are <= n + 1, and since a swap divides before
-# it multiplies, every partial product in sig divides sigma(n). Scatter index
-# arithmetic stays below 2^45. Only the sieve relies on this bound.
+# below 6.5 for 4 <= n <= 2^50. So sigma(n) < 2^53 there and int64 has 2^10
+# of headroom (the index does pass 6 below 2^50, at 1.3e14). Each power p^j
+# formed is at most hi - 1, each sigma(p^e) below 2 p^e, ``rest`` (a quotient
+# of n) and its successor at most n + 1, and, since a swap divides before it
+# multiplies, each partial product in sig divides sigma(n). Index arithmetic
+# stays below 2^45. Only the sieve relies on this bound.
 _VALUE_LIMIT = 1 << 50
 # Values sieved at a time: 1 MB of int64, so block scratch stays in cache.
 _BLOCK = 1 << 17
-# A prime power with more multiples than this in a block goes by strides.
+# A prime or power with more multiples than this in a block goes by strides.
 _STRIDED_MULTIPLES = 128
 # Up to p^k, how often p divides n repeats with period p^k: these primes
-# come from a precomputed table and are sieved by strides only from p^(k+1).
+# come from a precomputed table, and their higher powers start at p^(k+1).
 _WHEEL_POWERS = ((2, 5), (3, 3), (5, 2))
 # Entries per scatter chunk, in any block; bounds its index arrays.
 _SCATTER_ENTRIES = 1 << 12
@@ -72,68 +66,56 @@ _base_lock = threading.Lock()
 
 
 class SieveBudgetError(Exception):
-    """Requested segment exceeds the in-memory sieve budget; split it."""
+    """Segment too high to sieve, or wider than MAX_SEGMENT, a policy on checkpoint granularity."""
 
 
-def sigma_range(
-    lo: int, hi: int, visit: Optional[Callable[[int, np.ndarray], None]] = None
-) -> Optional[np.ndarray]:
-    """sigma(n) for every n in [lo, hi) as an int64 array, or block by block.
-
-    Without ``visit`` the whole segment is returned. With it, nothing is
-    returned: ``visit(at, block)`` is called as each block finishes, in
-    ascending order, where ``block[i]`` is sigma(at + i). ``block`` is a view
-    into one reused block-sized buffer, valid only during the call. A call
-    holds block scratch and O(pi(sqrt(hi))) per-prime state, plus, without
-    ``visit``, its output.
-
-    Raises SieveBudgetError when the segment is too wide for the memory
-    budget or sits too high for int64 arithmetic.
-    """
+def sigma_range(lo: int, hi: int, visit: Callable[[int, np.ndarray], None]) -> None:
+    """Call ``visit(at, block)`` as each block of [lo, hi) finishes, in
+    ascending order, where ``block[i]`` is sigma(at + i) as int64: a view
+    into one reused buffer, valid only during the call. Raises
+    SieveBudgetError for a segment wider than MAX_SEGMENT or too high."""
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     check_width(hi - lo)
     check_height(hi)
-
     size = hi - lo
     block = min(size, _BLOCK)
-    levels = _levels(lo, hi, block)
-
-    # The only difference between the two forms: where a block is written.
-    sig = np.empty(size if visit is None else block, dtype=np.int64)
-    smooth = np.empty(block, dtype=np.int64)
-    wheel_sig, wheel_smooth = _wheel()
+    strided, scattered, ahead_p, ahead, tables = _plan(lo, hi, block)
+    sig = np.empty(block, dtype=np.int64)
+    wheel_shift, wheel_inverse, wheel_sig = _wheel()
     for start in range(0, size, block):
         stop = min(start + block, size)
         at = lo + start
-        part = sig[start:stop] if visit is None else sig[: stop - start]
-        part_smooth = smooth[: stop - start]
+        part = sig[: stop - start]
+        rest = np.arange(at, lo + stop, dtype=np.uint64)
+        scratch = part.view(np.uint64)  # the wheel's shift and inverse pass through sig
+        for remove, table in ((np.right_shift, wheel_shift), (np.multiply, wheel_inverse)):
+            _tile(scratch, table, at)
+            remove(rest, scratch, out=rest)
         _tile(part, wheel_sig, at)
-        _tile(part_smooth, wheel_smooth, at)
-        for p, k in _WHEEL_POWERS:
-            q = p ** (k + 1)
-            while -at % q < len(part):  # q's multiples hold every higher power's
-                _stride(part, part_smooth, at, q, p)
-                q *= p
-        for j, (strided, scattered, sparse_q, sparse_p, ahead) in enumerate(levels, 1):
-            for q, p in strided:
-                _stride(part, part_smooth, at, q, p)
-            for q, p in scattered:
-                _scatter(part, part_smooth, at, q, p, j)
-            hit = np.flatnonzero(ahead < stop)
-            if len(hit):
-                q, where = sparse_q[hit], ahead[hit]
-                ahead[hit] = where + q
-                _swap(part, part_smooth, where - start, q, sparse_p[hit], j)
-        # Exact, since smooth divides n: rest is 1 or a prime. In place, since
-        # temporaries here set peak memory.
-        rest = np.arange(at, lo + stop, dtype=np.int64)
-        rest //= part_smooth
-        rest += rest != 1
-        part *= rest
-        if visit is not None:
-            visit(at, part)
-    return sig if visit is None else None
+        for q, old, new, remove, factor in strided:
+            view = part[-at % q :: q]
+            if old > 1:
+                view //= old  # exact, since sigma(p^(j-1)) is a factor of each value
+            view *= new
+            view = rest[-at % q :: q]
+            remove(view, factor, out=view)
+        for p, inverse in scattered:
+            _scatter(part, rest, at, p, inverse)
+        hit = np.flatnonzero(ahead < stop)
+        p, where = ahead_p[hit], ahead[hit] - start
+        ahead[hit] += p
+        np.multiply.at(part, where, p + 1)
+        np.multiply.at(rest, where, _inverses(p))  # per block: held for every p, they set peak memory
+        for pos, old, new, remove, factor in tables:
+            a, b = np.searchsorted(pos, (start, stop)).tolist()
+            where = pos[a:b] - start
+            np.floor_divide.at(part, where, old[a:b])  # exact, as above
+            np.multiply.at(part, where, new[a:b])
+            remove.at(rest, where, factor[a:b])
+        rest += rest != 1  # rest is 1 or a prime
+        part *= rest.view(np.int64)
+        visit(at, part)
 
 
 def check_height(hi: int) -> None:
@@ -143,36 +125,33 @@ def check_height(hi: int) -> None:
 
 
 def check_width(size: int) -> None:
-    """Raise SieveBudgetError if a segment of size values is too wide to sieve."""
+    """Raise SieveBudgetError past MAX_SEGMENT: a policy on checkpoint granularity, not a memory budget."""
     if size > MAX_SEGMENT:
         raise SieveBudgetError(f"segment of {size} elements exceeds budget of {MAX_SEGMENT}")
 
 
 def cover(hi: int) -> None:
-    """Sieve now the base primes of every segment below hi.
-
-    A scan calls this with its bound, so that its segments, which rise,
-    slice one array instead of each sieving a slightly longer one.
-    """
+    """Sieve now the base primes of every segment below hi: a scan's rising
+    segments then slice one array instead of each sieving a longer one."""
     if hi > 1:
         _base_primes(math.isqrt(hi - 1))
 
 
 @functools.cache
-def _wheel() -> tuple[np.ndarray, np.ndarray]:
-    """For each residue r modulo prod p^k over _WHEEL_POWERS: sigma and the
-    value of r's part made of those primes, each counted to at most p^k.
-    Read-only."""
-    period = math.prod(p ** k for p, k in _WHEEL_POWERS)
-    r = np.arange(period)
-    sig = np.ones(period, dtype=np.int64)
-    smooth = np.ones(period, dtype=np.int64)
+def _wheel() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only, for each r modulo prod p^k with 2^a * u its part made of
+    each p to at most p^k: a (uint8), u^-1 mod 2^64 and sigma(2^a u)."""
+    r = np.arange(math.prod(p ** k for p, k in _WHEEL_POWERS))
+    sig, inverse = np.ones(len(r), dtype=np.int64), np.ones(len(r), dtype=np.uint64)
     for p, k in _WHEEL_POWERS:
         e = sum((r % p ** j == 0).astype(np.int64) for j in range(1, k + 1))
-        smooth *= p ** e
         sig *= (p ** (e + 1) - 1) // (p - 1)
-    sig.flags.writeable = smooth.flags.writeable = False
-    return sig, smooth
+        if p == 2:
+            shift = e.astype(np.uint8)
+        else:
+            inverse *= np.array([pow(p, -i, 1 << 64) for i in range(k + 1)], dtype=np.uint64)[e]
+    sig.flags.writeable = shift.flags.writeable = inverse.flags.writeable = False
+    return shift, inverse, sig
 
 
 def _tile(out: np.ndarray, table: np.ndarray, at: int) -> None:
@@ -186,11 +165,8 @@ def _tile(out: np.ndarray, table: np.ndarray, at: int) -> None:
 
 
 def _base_primes(limit: int) -> np.ndarray:
-    """Primes <= limit, ascending, as a read-only slice of the process cache.
-
-    The cache holds the exact cover of the highest limit asked for; a
-    higher one replaces it whole.
-    """
+    """Primes <= limit, ascending, as a read-only slice of the process cache,
+    which holds the exact cover of the highest limit asked for."""
     global _base
     covered, primes = _base
     if limit > covered:
@@ -204,12 +180,9 @@ def _base_primes(limit: int) -> np.ndarray:
 
 
 def _primes_through(limit: int) -> np.ndarray:
-    """Primes <= limit, ascending, as int64.
-
-    Not arith.primes_below: its cache doubles past the limit and lives as
-    long as the process, which raises the peak memory of every scan. The
-    cache in _base_primes keeps only the exact cover.
-    """
+    """Primes <= limit, ascending, as int64. Not arith.primes_below, whose
+    cache doubles past the limit and lives as long as the process, which
+    raises the peak memory of every scan."""
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -218,78 +191,104 @@ def _primes_through(limit: int) -> np.ndarray:
     return np.flatnonzero(flags)
 
 
-def _levels(lo: int, hi: int, block: int) -> list[tuple]:
-    """For j = 1, 2, ...: the powers q = p^j <= hi - 1 of the primes p >= 7
-    that have a multiple in [lo, hi), as (q, p) pairs to stride, chunks of
-    (q, p) arrays to scatter, and arrays q and p of the powers >= block with
-    ahead, the offset from lo of each one's next multiple."""
-    size, top = hi - lo, hi - 1
-    levels = []
-    # The wheel's primes are the first ones; blocks sieve them by strides.
-    p = q = _base_primes(math.isqrt(top))[len(_WHEEL_POWERS) :]
-    for j in itertools.count(1):
-        cut, dense = np.searchsorted(q, (block // _STRIDED_MULTIPLES, block)).tolist()
-        # Only powers >= block with a multiple here are kept (near 2^50, 1 in 7).
-        ahead = np.remainder(-lo, q[dense:])
-        live = np.flatnonzero(ahead < size)
-        ahead = ahead[live]
-        kept = np.concatenate((np.arange(dense), live + dense))
-        q, p = (q[kept],) * 2 if p is q else (q[kept], p[kept])  # p is q at level 1
-        # Chunks of at most about _SCATTER_ENTRIES entries in any block.
-        ends = np.cumsum(block // q[cut:dense] + 1).tolist()
-        starts = [cut + bisect.bisect_left(ends, e) for e in range(0, ends[-1] if ends else 0, _SCATTER_ENTRIES)]
-        scattered = [(q[a:b], p[a:b]) for a, b in zip(starts, starts[1:] + [dense])]
-        strided = list(zip(q[:cut].tolist(), p[:cut].tolist()))
-        levels.append((strided, scattered, q[dense:], p[dense:], ahead))
-        # p^(j+1) <= top, tested before p^(j+1) is formed so that it cannot wrap.
-        n = bisect.bisect_right(p, top, key=lambda x: int(x) ** (j + 1))
-        if not n:
-            return levels
-        p, q = p[:n], q[:n] * p[:n]
+def _inverses(p: np.ndarray) -> np.ndarray:
+    """p^-1 mod 2^64, uint64, for odd int64 p: x = 3p xor 2 holds 5 bits and
+    each in-place Newton step x <- x (2 - p x) doubles them."""
+    p = p.view(np.uint64)
+    x, t = p * np.uint64(3), np.empty_like(p)
+    x ^= np.uint64(2)
+    for _ in range(4):  # 5 -> 10 -> 20 -> 40 -> 80 bits
+        np.multiply(p, x, out=t)
+        np.subtract(np.uint64(2), t, out=t)
+        x *= t
+    return x
 
 
-def _scatter(sig: np.ndarray, smooth: np.ndarray, at: int, q: np.ndarray, p: np.ndarray, j: int) -> None:
-    """Swap sigma(p^j) in at every multiple of each q = p^j in a block."""
-    counts = (at + len(sig) - 1) // q - (at - 1) // q
-    step = np.repeat(q, counts)
-    # The k-th entry overall, the i-th multiple of its q, sits at
-    # first_q + i * q, with i = k - (entries of earlier powers).
-    before = np.cumsum(counts) - counts
-    where = np.repeat(-at % q - before * q, counts) + np.arange(len(step)) * step
-    _swap(sig, smooth, where, step, np.repeat(p, counts), j)
-
-
-def _stride(sig: np.ndarray, smooth: np.ndarray, at: int, q: int, p: int) -> None:
-    """Turn sigma(p^(j-1)) into sigma(p^j) at every multiple of q = p^j in a
-    block, by strides, and multiply p into smooth there."""
-    old = (q - 1) // (p - 1)
-    view = sig[-at % q :: q]
-    if old > 1:
-        view //= old  # exact, since sigma(p^(j-1)) is a factor of each value
-    view *= old + q
-    view = smooth[-at % q :: q]
-    view *= p
-
-
-def _swap(sig: np.ndarray, smooth: np.ndarray, where: np.ndarray, q: np.ndarray, p: np.ndarray, j: int) -> None:
-    """Turn sigma(p^(j-1)) into sigma(p^j) in sig[where], q = p^j, and multiply
-    p into smooth[where], unbuffered: two powers can divide the same value."""
-    old = 1
-    if j > 1:
+def _plan(lo: int, hi: int, block: int) -> tuple:
+    """The powers q = p^j to stride, as (q, sigma(q/p), sigma(q), remove,
+    factor), remove(rest, factor) taking out p; chunks of primes and p^-1
+    mod 2^64 to scatter; primes >= block with the offset of their next
+    multiple; and _table's of sparse powers for 2 and for odd p."""
+    size, top, thin = hi - lo, hi - 1, block // _STRIDED_MULTIPLES  # a power below thin is dense
+    primes = _base_primes(math.isqrt(top))
+    # Only the wheel's primes and those whose square is dense have a dense power.
+    few = max(len(_WHEEL_POWERS), int(np.searchsorted(primes, math.isqrt(max(thin - 1, 0)) + 1)))
+    dense, seeds = [], []
+    for p in primes[:few].tolist():
+        q = p ** (dict(_WHEEL_POWERS).get(p, 1) + 1)
         old = (q - 1) // (p - 1)
-        np.floor_divide.at(sig, where, old)  # exact, as in _stride
-    np.multiply.at(sig, where, old + q)
-    np.multiply.at(smooth, where, p)
+        remove, factor = (np.right_shift, np.uint64(1)) if p == 2 else (np.multiply, np.uint64(pow(p, -1, 1 << 64)))
+        while q < thin and q <= top:
+            dense.append((q, old, old + q, remove, factor))
+            old, q = old + q, q * p
+        seeds.append((p, q, old, -lo % q))  # _table drops a q with no multiple
+    p = primes[few:]
+    first = p * p
+    np.remainder(-lo, first, out=first)  # in place: it is as long as the base primes
+    live = np.flatnonzero(first < size)
+    p, first = p[live], first[live]
+    small = np.array(seeds, dtype=np.int64).reshape(-1, 4)  # 2's row first, if primes holds 2
+    odd = [np.concatenate(pair) for pair in zip(small[1:].T, (p, p * p, p + 1, first))]
+    tables = [_table(lo, size, *small[:1].T, np.right_shift), _table(lo, size, *odd, np.multiply)]
+    # The wheel's primes are the first ones; the wheel holds their first powers.
+    p = primes[len(_WHEEL_POWERS) :]
+    cut, end = np.searchsorted(p, (thin, block)).tolist()
+    # Only primes >= block with a multiple here are kept (near 2^50, 1 in 7).
+    ahead = np.remainder(-lo, p[end:])
+    live = np.flatnonzero(ahead < size)
+    if len(live) < len(ahead):
+        ahead = ahead[live]
+        p = np.concatenate((p[:end], p[end:][live]))
+    inverse = _inverses(p[:end])
+    # Chunks of at most about _SCATTER_ENTRIES entries in any block.
+    ends = np.cumsum(block // p[cut:end] + 1).tolist()
+    starts = [cut + bisect.bisect_left(ends, e) for e in range(0, ends[-1] if ends else 0, _SCATTER_ENTRIES)]
+    scattered = [(p[a:b], inverse[a:b]) for a, b in zip(starts, starts[1:] + [end])]
+    strided = [(q, 1, q + 1, np.multiply, x) for q, x in zip(p[:cut].tolist(), inverse[:cut])]
+    return strided + dense, scattered, p[end:], ahead, tables
+
+
+def _table(lo: int, size: int, p: np.ndarray, q: np.ndarray, old: np.ndarray, first: np.ndarray, remove) -> tuple:
+    """For each multiple m = lo + pos < lo + size of each q = p^s, the first
+    at offset first, sorted by pos: pos, old = sigma(p^(s-1)), sigma(p^e) for
+    e = v_p(m), and remove with its factor that takes p^(e-s+1) out of rest."""
+    counts = (size - 1 - first) // q + 1  # 0 if first >= size, since first < q
+    seed = np.repeat(np.arange(len(q)), counts)  # each entry's power
+    # The entry k is the i-th multiple of its q, i = k - (entries of earlier powers).
+    pos = first[seed] + (np.arange(len(seed)) - (np.cumsum(counts) - counts)[seed]) * q[seed]
+    order = np.argsort(pos)
+    pos, seed = pos[order], seed[order]
+    p, step, old = p[seed], q[seed], old[seed]
+    rest, new, count = (lo + pos) // step, old + step, np.ones_like(pos)  # count = e - s + 1
+    more = np.flatnonzero(rest % p == 0)  # only these entries raise e
+    while len(more):
+        rest[more] //= p[more]
+        step[more] *= p[more]
+        new[more] += step[more]
+        count[more] += 1
+        more = more[rest[more] % p[more] == 0]
+    factor = count.view(np.uint64) if remove is np.right_shift else _inverses(p ** count)
+    return pos, old, new, remove, factor
+
+
+def _scatter(sig: np.ndarray, rest: np.ndarray, at: int, p: np.ndarray, inverse: np.ndarray) -> None:
+    """Put in each prime p at every one of its multiples in a block."""
+    counts = (at + len(sig) - 1) // p - (at - 1) // p
+    step = np.repeat(p, counts)
+    # Entry k, multiple i = k - (entries of earlier primes) of its p, is at first_p + i * p, as in _table.
+    before = np.cumsum(counts) - counts
+    where = np.repeat(-at % p - before * p, counts) + np.arange(len(step)) * step
+    np.multiply.at(sig, where, step + 1)  # unbuffered: two primes can divide one value
+    np.multiply.at(rest, where, np.repeat(inverse, counts))
 
 
 def index_hits(sig: np.ndarray, lo: int, num: int, den: int) -> list[int]:
     """Every n in [lo, lo + len(sig)) with den * sig[n - lo] == num * n, ascending.
 
-    ``sig`` is sigma over that segment, as ``sigma_range`` returns it or
-    hands one block of it to a visitor, so the hits are the values of
-    abundancy index num/den. The test wraps in uint64: it misses no hit, but
-    where num * n / den passes 2^64 a value can match mod 2^64 only, so
-    callers re-verify hits exactly.
+    ``sig`` is sigma over that segment, as ``sigma_range`` hands a block of
+    it to a visitor, so the hits have abundancy index num/den. The test
+    wraps in uint64: it misses no hit, but where num * n / den passes 2^64
+    a value can match mod 2^64 only, so callers re-verify hits exactly.
     """
     # den * sigma(n) == num * n makes step = den / g divide n, and for
     # n = step * k it reads sigma(n) == k * (num / g).

@@ -1,6 +1,7 @@
 """The command-line surface: outputs, envelopes, exit codes, env fallbacks."""
 
 import argparse
+import concurrent.futures
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from friendly.abundancy import abundancy_index, find_friends
 from friendly.arith import factorize, sigma
 from friendly.cli import parse_natural, validate_envelope
 from friendly.friend10 import derive_residue_class
+from friendly.scan import WORKERS_PER_CPU
 
 
 def envelope_of(result):
@@ -240,6 +242,28 @@ def test_domain_error_json_object(run_cli):
 def test_check_rejects_bad_q_factors(run_cli):
     result = run_cli("check", "--a", "1", "--q-factors", "4^2")
     assert result.returncode == 2  # parse-level validation: 4 is not prime
+
+
+def test_workers_past_the_cap_are_a_usage_error(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("FRIENDLY_WORKERS", raising=False)
+    cap = 2 * WORKERS_PER_CPU
+    args = ["scan", "--bound", "100", "--index", "9/5"]
+    for value in (str(cap + 1), "10^9"):
+        for by_env in (False, True):
+            if by_env:
+                monkeypatch.setenv("FRIENDLY_WORKERS", value)
+            with pytest.raises(SystemExit) as exc:
+                cli.main(args if by_env else args + ["--workers", value])
+            monkeypatch.delenv("FRIENDLY_WORKERS", raising=False)
+            assert exc.value.code == 2
+            reason = f"argument --workers: at most {cap} workers ({WORKERS_PER_CPU} per CPU), got {value!r}"
+            assert reason in capsys.readouterr().err
+    assert cli.build_parser().parse_args(args + ["--workers", str(cap)]).workers == cap
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import concurrent.futures
 import importlib
 import json
 import math
+import os
 import random
 import time
 import tracemalloc
@@ -24,8 +25,10 @@ from friendly.scan import (
     CheckpointMismatchError,
     CheckpointVersionError,
     DEFAULT_SEGMENT_SIZE,
+    WORKERS_PER_CPU,
     checkpoint_load,
     checkpoint_save,
+    max_workers,
     read_records,
     scan,
     scan_range,
@@ -53,6 +56,13 @@ def divisor_sums(lo, hi):
     return out
 
 
+def sieved(lo, hi):
+    """sigma over [lo, hi) as one int64 array, collected from the sieve's blocks."""
+    blocks = []
+    sigma_range(lo, hi, lambda at, block: blocks.append(block.copy()))
+    return np.concatenate(blocks)
+
+
 BLOCK = sieve._BLOCK
 EMPTY_BASE = (1, np.empty(0, dtype=np.int64))
 
@@ -61,7 +71,7 @@ EMPTY_BASE = (1, np.empty(0, dtype=np.int64))
 
 
 def test_sigma_range_matches_divisor_enumeration():
-    values = sigma_range(1, 2001)
+    values = sieved(1, 2001)
     for n in range(1, 2001):
         assert int(values[n - 1]) == divisor_sum(n), n
 
@@ -69,7 +79,7 @@ def test_sigma_range_matches_divisor_enumeration():
 def test_sigma_range_offset_segment():
     # Short segments, and ones across a period of the 2-3-5 wheel (21600).
     for lo, hi in [(995, 1015), (1, 2), (2, 4), (31, 34), (21590, 21610), (43199, 43202)]:
-        values = sigma_range(lo, hi)
+        values = sieved(lo, hi)
         for n in range(lo, hi):
             assert int(values[n - lo]) == divisor_sum(n), n
 
@@ -78,7 +88,7 @@ def test_sigma_range_offset_segment():
 @pytest.mark.parametrize("lo", [1, 7 * 21600 - BLOCK])
 @pytest.mark.parametrize("size", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
 def test_sigma_range_across_block_edges(lo, size):
-    assert sigma_range(lo, lo + size).tolist() == divisor_sums(lo, lo + size).tolist()
+    assert sieved(lo, lo + size).tolist() == divisor_sums(lo, lo + size).tolist()
 
 
 # 999983 is above the block length, so its square is one offset in a block.
@@ -94,9 +104,9 @@ def test_sigma_range_large_prime_square_at_a_block_edge(lo):
     hi = lo + BLOCK + 300
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = sigma_range(lo, hi)
+        values = sieved(lo, hi)
     # Every value against a sieve whose blocks are cut elsewhere ...
-    assert values.tolist() == sigma_range(lo - 5, hi)[5:].tolist()
+    assert values.tolist() == sieved(lo - 5, hi)[5:].tolist()
     # ... and the values by the square and at both ends against factorize.
     square = 999983 ** 2
     near = set(range(square - 300, square + 300)) | set(range(lo, lo + 100)) | set(range(hi - 100, hi))
@@ -104,15 +114,25 @@ def test_sigma_range_large_prime_square_at_a_block_edge(lo):
         assert int(values[n - lo]) == sigma(factorize(n)), n
 
 
-# Two prime powers q = p^j for each way a block applies one: by strides
-# (q < BLOCK // _STRIDED_MULTIPLES), by chunked scatters (q < BLOCK) and by
-# the offset of its next multiple (q >= BLOCK).
-EDGE_POWERS = [7 ** 3, 31 ** 2, 101 ** 2, 7 ** 5, 1021 ** 2, 7 ** 7]
+# Prime powers q = p^j for each way a block applies one: by strides
+# (q < BLOCK // _STRIDED_MULTIPLES), through the segment's table of sparser
+# higher powers (j >= 2), and for a prime (j = 1) by chunked scatters
+# (p < BLOCK) or by the offset of its next multiple (p >= BLOCK).
+EDGE_POWERS = [7 ** 3, 31 ** 2, 101 ** 2, 7 ** 5, 1021 ** 2, 7 ** 7, 1031, 7919, 131101, 999983]
+
+
+def edge_path(q):
+    ((p, j),) = factorize(q).pairs
+    if q < BLOCK // sieve._STRIDED_MULTIPLES:
+        return "strided"
+    if j > 1:
+        return "table"
+    return "scatter" if p < BLOCK else "ahead"
 
 
 def test_edge_powers_cover_every_path():
-    strided = BLOCK // sieve._STRIDED_MULTIPLES
-    assert [(q < strided) + (q < BLOCK) for q in EDGE_POWERS] == [2, 2, 1, 1, 0, 0]
+    paths = ["strided"] * 2 + ["table"] * 4 + ["scatter"] * 2 + ["ahead"] * 2
+    assert [edge_path(q) for q in EDGE_POWERS] == paths
 
 
 @pytest.mark.parametrize("q", EDGE_POWERS)
@@ -123,22 +143,27 @@ def test_sigma_range_prime_power_at_a_block_edge(q, edge):
     hi = lo + BLOCK + 300
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = sigma_range(lo, hi)
+        values = sieved(lo, hi)
     near = set(range(m - 300, m + 300)) | {m - q, m + q} | set(range(lo, lo + 100)) | set(range(hi - 100, hi))
     for n in sorted(v for v in near if lo <= v < hi):
         assert int(values[n - lo]) == sigma(factorize(n)), n
 
 
-@pytest.mark.parametrize("lo", [1, 10 ** 12])
-def test_sigma_range_memory_is_its_output_plus_block_scratch(lo):
-    sigma_range(lo, lo + 2 ** 20)  # the base primes and the wheel are cached once per process
-    tracemalloc.start()
-    try:
-        values = sigma_range(lo, lo + 2 ** 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * values.nbytes, peak / values.nbytes
+# The wheel holds p^k of each (p, k); every higher power below the sieve's
+# limit goes by strides (2^6..2^9, 3^4..3^6, 5^3, 5^4) or through the table.
+@pytest.mark.parametrize("p, k", sieve._WHEEL_POWERS)
+def test_sigma_range_wheel_prime_powers_at_a_block_edge(p, k):
+    j = k + 1
+    while p ** j + 64 <= sieve._VALUE_LIMIT:  # up to 2^49, 3^31 and 5^21
+        c = -(-(BLOCK + 16) // p ** j)  # m = c * p^j, past the first block and with v_p(m) = j
+        m = p ** j * (c + (c % p == 0))
+        lo = m - BLOCK + j % 2  # m opens the second block, or for odd j ends the first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns when a scalar wraps
+            values = sieved(lo, m + 64)
+        for n in range(m - 16, m + 16):
+            assert int(values[n - lo]) == sigma(factorize(n)), (p, j, n)
+        j += 1
 
 
 @pytest.mark.parametrize("lo", [1, 10 ** 9 + 3])
@@ -148,7 +173,9 @@ def test_sigma_range_visitor_gets_the_array_block_by_block(lo):
     assert sigma_range(lo, hi, lambda at, block: seen.append((at, block.copy()))) is None
     assert [at for at, _ in seen] == [lo, lo + BLOCK, lo + 2 * BLOCK]
     assert [len(block) for _, block in seen] == [BLOCK, BLOCK, 777]
-    assert np.concatenate([block for _, block in seen]).tolist() == sigma_range(lo, hi).tolist()
+    # Against sieves whose blocks are cut elsewhere.
+    other = np.concatenate((sieved(lo, lo + 1000), sieved(lo + 1000, hi)))
+    assert np.concatenate([block for _, block in seen]).tolist() == other.tolist()
 
 
 def test_scan_sieves_its_base_primes_once(monkeypatch):
@@ -166,23 +193,23 @@ def test_segment_after_a_higher_one_matches_a_fresh_sieve(monkeypatch):
     # hi - 1 is the square of the prime 1009, so the base primes must keep 1009.
     lo, hi = 1009 ** 2 - 2000, 1009 ** 2 + 1
     monkeypatch.setattr(sieve, "_base", EMPTY_BASE)
-    fresh = sigma_range(lo, hi)
+    fresh = sieved(lo, hi)
     monkeypatch.setattr(sieve, "_base", EMPTY_BASE)
-    sigma_range(10 ** 12, 10 ** 12 + 10)
+    sieved(10 ** 12, 10 ** 12 + 10)
     assert sieve._base[0] == 10 ** 6
-    assert sigma_range(lo, hi).tolist() == fresh.tolist() == divisor_sums(lo, hi).tolist()
+    assert sieved(lo, hi).tolist() == fresh.tolist() == divisor_sums(lo, hi).tolist()
 
 
 def test_sigma_range_budget():
     with pytest.raises(SieveBudgetError):
-        sigma_range(1, MAX_SEGMENT + 2)  # refused before anything is allocated
+        sieved(1, MAX_SEGMENT + 2)  # refused before anything is allocated
     with pytest.raises(ValueError):
-        sigma_range(0, 10)
+        sieved(0, 10)
 
 
 def test_sieve_agrees_with_factorization_path():
     rng = random.Random(99)
-    values = sigma_range(1, 10 ** 6)
+    values = sieved(1, 10 ** 6)
     for _ in range(1000):
         n = rng.randrange(1, 10 ** 6)
         assert int(values[n - 1]) == sigma(factorize(n))
@@ -200,23 +227,35 @@ def test_sieve_agrees_with_factorization_path():
         (5 ** 17 - 300, 5 ** 17 + 300),
         (104021 ** 3 - 300, 104021 ** 3 + 300),  # the highest prime cube below 2^50
         (131101 ** 2 - 300, 131101 ** 2 + 300),  # the square of a prime above 2^17
-        # Several swaps on one value: two scattered squares, two squares at
-        # or above the block length, and three strided powers.
+        # A table entry resolved to e >= 3, for each way p's first power goes
+        # in: 37^4, 1021^3 and 17^5 after a strided p (17^2 itself strided),
+        # 7^9 after strided 7^2 and 7^3, 1031^3 after a scattered p.
+        (37 ** 4 - 300, 37 ** 4 + 300),
+        (1021 ** 3 - 300, 1021 ** 3 + 300),
+        (17 ** 5 - 300, 17 ** 5 + 300),
+        (7 ** 9 - 300, 7 ** 9 + 300),
+        (1031 ** 3 - 300, 1031 ** 3 + 300),
+        # Several swaps on one value: two table entries in each of the first
+        # two; strided powers and two entries (11^3, and 5^5 into e = 6) in
+        # the third; entries of both tables (2^10 into e = 12, 3^7, 7^4 and
+        # 37^2) in the fourth; three entries, into e = 5, 3 and 2, in the last.
         (101 ** 2 * 103 ** 2 - 300, 101 ** 2 * 103 ** 2 + 300),
         (1021 ** 2 * 1031 ** 2 - 300, 1021 ** 2 * 1031 ** 2 + 300),
         (7 ** 2 * 11 ** 3 * 13 ** 2 * 10 ** 6 - 300, 7 ** 2 * 11 ** 3 * 13 ** 2 * 10 ** 6 + 300),
+        (2 ** 12 * 3 ** 8 * 7 ** 4 * 37 ** 2 - 300, 2 ** 12 * 3 ** 8 * 7 ** 4 * 37 ** 2 + 300),
+        (7 ** 5 * 37 ** 3 * 1031 ** 2 - 300, 7 ** 5 * 37 ** 3 * 1031 ** 2 + 300),
     ],
 )
 def test_sigma_range_matches_factorization_at_height(lo, hi):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy warns when an int64 scalar wraps
-        values = sigma_range(lo, hi)
+        values = sieved(lo, hi)
     for n in range(lo, hi):
         assert int(values[n - lo]) == sigma(factorize(n)), n
 
 
 def test_index_hits_overflow_path_agrees_with_vectorized_path():
-    values = sigma_range(1, 10 ** 4)
+    values = sieved(1, 10 ** 4)
     big = 1 << 62  # den * sigma(n) no longer fits int64
     perfect = [6, 28, 496, 8128]
     # Targets not in lowest terms: 6/4 hits at 2, a multiple of 4/gcd(6, 4) but not of 4.
@@ -227,7 +266,7 @@ def test_index_hits_overflow_path_agrees_with_vectorized_path():
 
 @pytest.mark.parametrize("lo", [7, 996])
 def test_index_hits_matches_a_filter_of_the_whole_segment(lo):
-    values = sigma_range(lo, 10 ** 5)
+    values = sieved(lo, 10 ** 5)
     sigmas = values.tolist()
     targets = [(9, 5), (18, 10), (6, 4), (4, 2), (3, 2), (7, 3)]
     # Numerators past int64; for the second, every k * num / g wraps in uint64.
@@ -239,14 +278,14 @@ def test_index_hits_matches_a_filter_of_the_whole_segment(lo):
             assert index_hits(values, lo, num, den) == brute, (num, den)
     assert index_hits(values, lo, 9, 5) == ([10] if lo <= 10 else [])
     # [11, 14) holds no multiple of 5, so nothing is compared.
-    assert index_hits(sigma_range(11, 14), 11, 9, 5) == []
+    assert index_hits(sieved(11, 14), 11, 9, 5) == []
 
 
 def test_index_hits_false_positive_is_dropped_by_reverification():
     # 5 * 2^64 + 9 is 9 mod 2^64, so the wrapping matcher takes sigma(10) = 9 * 2
     # for a hit; only the exact re-verification tells the indices apart.
     target = Fraction(5 * 2 ** 64 + 9, 5)
-    assert index_hits(sigma_range(1, 100), 1, target.numerator, target.denominator) == [10]
+    assert index_hits(sieved(1, 100), 1, target.numerator, target.denominator) == [10]
     assert scan_range(1, 100, target).hits == ()
     assert scan(100, target).hits == ()
 
@@ -271,7 +310,7 @@ def test_scan_range_matches_the_whole_array_across_block_edges(lo):
     # Three blocks, the last one short. Of their first values, at each lo
     # two are not multiples of 5.
     hi = lo + 2 * BLOCK + 777
-    values = sigma_range(lo, hi)
+    values = sieved(lo, hi)
     checksum = int(np.add.reduce(values.view(np.uint64), dtype=np.uint64))
     # The index of the last value of a block and of the first of the next:
     # the block holding n0 starts off and on a multiple of n0's denominator.
@@ -358,6 +397,29 @@ def test_fewer_than_one_worker_is_refused_before_any_file(tmp_path):
         with pytest.raises(ValueError, match="workers"):
             scan(1000, Fraction(2), workers=workers, checkpoint_path=checkpoint)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_more_workers_than_the_cap_are_refused_before_any_pool_or_file(tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            assert max_workers <= 3 * WORKERS_PER_CPU  # never a pool past the cap
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert max_workers() == 3 * WORKERS_PER_CPU
+    checkpoint = tmp_path / "cp"
+    for workers in (max_workers() + 1, 10 ** 9):
+        with pytest.raises(ValueError, match="workers"):
+            scan(1000, Fraction(2), workers=workers, checkpoint_path=checkpoint)
+    assert list(tmp_path.iterdir()) == [] and pools == []
+    assert scan(1000, Fraction(2), workers=max_workers(), segment_size=100).hits == (6, 28, 496)
+    assert pools == [max_workers()]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: counted as one CPU
+    assert max_workers() == WORKERS_PER_CPU
 
 
 def test_scan_past_the_sieve_limit_fails_before_any_file(tmp_path):
