@@ -216,27 +216,22 @@ class Factorization:
         return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.pairs)
 
 
-def factorize(
-    n: int,
-    *,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
-) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Factor n >= 1: a table walk below the table's limit, else trial
     division by its primes, then Brent's rho.
 
     Below the limit each prime factor is one lookup of the smallest-prime-
     factor table. Above it, trial division runs over the cached primes below
-    min(trial_bound, isqrt(n) + 1); whatever survives goes through Brent's
-    cycle method under an iteration budget. Exceeding the budget raises
+    min(DEFAULT_TRIAL_BOUND, isqrt(n) + 1); whatever survives goes through
+    Brent's cycle method under a budget of DEFAULT_RHO_BUDGET iterations.
+    Both are read at call time. Exceeding the budget raises
     FactoringBudgetError so callers can skip or defer the value rather than
     stall.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"can only factor n >= 1, got {n}")
-    if trial_bound < 3:
-        raise ValueError("trial_bound must be at least 3")
+    trial_bound = DEFAULT_TRIAL_BOUND
     spf, primes = _table
     if n >= len(spf):
         spf, primes = _grow_table(min(trial_bound, math.isqrt(n) + 1))
@@ -260,24 +255,22 @@ def factorize(
             rest //= p
             factors[p] = factors.get(p, 0) + 1
     if rest > 1:
-        _split(rest, factors, [rho_budget], rho_budget, trial_bound)
+        _split(rest, factors, [DEFAULT_RHO_BUDGET])
     return Factorization._proven(tuple(sorted(factors.items())))
 
 
-def _split(
-    m: int, factors: dict[int, int], budget: list[int], total: int, trial_bound: int
-) -> None:
-    # m has no prime factor below trial_bound, so anything under its square
-    # is automatically prime.
-    if m < trial_bound * trial_bound or is_prime(m):
+def _split(m: int, factors: dict[int, int], budget: list[int]) -> None:
+    # m has no prime factor below DEFAULT_TRIAL_BOUND, so anything under its
+    # square is automatically prime.
+    if m < DEFAULT_TRIAL_BOUND * DEFAULT_TRIAL_BOUND or is_prime(m):
         factors[m] = factors.get(m, 0) + 1
         return
-    d = _brent_rho(m, budget, total)
-    _split(d, factors, budget, total, trial_bound)
-    _split(m // d, factors, budget, total, trial_bound)
+    d = _brent_rho(m, budget)
+    _split(d, factors, budget)
+    _split(m // d, factors, budget)
 
 
-def _brent_rho(n: int, budget: list[int], total: int) -> int:
+def _brent_rho(n: int, budget: list[int]) -> int:
     """One nontrivial factor of composite n via Brent's cycle detection."""
     if n % 2 == 0:
         return 2
@@ -290,7 +283,7 @@ def _brent_rho(n: int, budget: list[int], total: int) -> int:
         while g == 1:
             x = y
             if budget[0] < r:
-                raise FactoringBudgetError(n, total)
+                raise FactoringBudgetError(n, DEFAULT_RHO_BUDGET)
             budget[0] -= r
             for _ in range(r):
                 y = (y * y + c) % n
@@ -299,7 +292,7 @@ def _brent_rho(n: int, budget: list[int], total: int) -> int:
                 ys = y
                 steps = min(128, r - k)
                 if budget[0] < steps:
-                    raise FactoringBudgetError(n, total)
+                    raise FactoringBudgetError(n, DEFAULT_RHO_BUDGET)
                 budget[0] -= steps
                 for _ in range(steps):
                     y = (y * y + c) % n

@@ -9,11 +9,16 @@ run's parameters, written once when the run starts, and a JSON-lines records
 file to which each completed segment appends its record. The records file
 is the only account of progress: a resume rescans exactly the segments
 without a whole line in it, including one whose last line a crash cut short.
+
+The matcher, ``index_hits``, compares sigma(n) with num * n / den at the
+multiples of den / gcd(num, den) only, in wrapping uint64; ``scan_range``
+re-verifies each of its hits exactly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import mmap
 import os
 import time
@@ -41,6 +46,7 @@ __all__ = [
     "ScanRecord",
     "checkpoint_load",
     "checkpoint_save",
+    "index_hits",
     "max_workers",
     "read_records",
     "scan",
@@ -87,9 +93,12 @@ class ScanRecord:
     hi: int
     target_index: Fraction
     hits: tuple[int, ...]
-    scanned_count: int
     elapsed: int  # milliseconds
     checksum: int  # sum of sigma(n) over the segment, mod 2^64
+
+    @property
+    def scanned_count(self) -> int:
+        return self.hi - self.lo
 
 
 def _positive(target: Fraction) -> Fraction:
@@ -110,8 +119,6 @@ def scan_range(lo: int, hi: int, target: Fraction) -> ScanRecord:
     sigma values mod 2^64 and is independent of how the surrounding scan is
     parallelized.
     """
-    if not 1 <= lo < hi:
-        raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     target = _positive(target)
     started = time.perf_counter()
     num, den = target.numerator, target.denominator
@@ -120,7 +127,7 @@ def scan_range(lo: int, hi: int, target: Fraction) -> ScanRecord:
 
     def visit(at: int, block: np.ndarray) -> None:
         nonlocal checksum
-        raw.extend(sieve.index_hits(block, at, num, den))
+        raw.extend(index_hits(block, at, num, den))
         checksum += int(np.add.reduce(block.view(np.uint64), dtype=np.uint64))
 
     sieve.sigma_range(lo, hi, visit)
@@ -132,10 +139,29 @@ def scan_range(lo: int, hi: int, target: Fraction) -> ScanRecord:
         hi=hi,
         target_index=target,
         hits=hits,
-        scanned_count=hi - lo,
         elapsed=elapsed,
         checksum=checksum,
     )
+
+
+def index_hits(sig: np.ndarray, lo: int, num: int, den: int) -> list[int]:
+    """Every n in [lo, lo + len(sig)) with den * sig[n - lo] == num * n, ascending.
+
+    ``sig`` is sigma over that segment, as ``sieve.sigma_range`` hands a
+    block of it to a visitor, so the hits have abundancy index num/den. The
+    test wraps in uint64: it misses no hit, but where num * n / den passes
+    2^64 a value can match mod 2^64 only, so ``scan_range`` re-verifies each
+    hit exactly.
+    """
+    # den * sigma(n) == num * n makes step = den / g divide n, and for
+    # n = step * k it reads sigma(n) == k * (num / g).
+    g = math.gcd(num, den)
+    step = den // g
+    first = -(-lo // step)  # the least k with step * k >= lo
+    sub = sig[first * step - lo :: step].view(np.uint64)
+    want = np.arange(first, first + len(sub), dtype=np.uint64)
+    want *= np.uint64(num // g % (1 << 64))
+    return [step * (first + int(j)) for j in np.flatnonzero(sub == want)]
 
 
 # --- persistence -----------------------------------------------------------
@@ -166,16 +192,22 @@ def record_to_json(rec: ScanRecord) -> str:
 
 
 def record_from_json(line: Union[str, bytes]) -> ScanRecord:
+    """Decode one record; ValueError if its count or hits disagree with its segment."""
     doc = json.loads(line)
-    return ScanRecord(
+    rec = ScanRecord(
         lo=int(doc["lo"]),
         hi=int(doc["hi"]),
         target_index=_parse_fraction(doc["target_index"]),
         hits=tuple(int(h) for h in doc["hits"]),
-        scanned_count=int(doc["scanned_count"]),
         elapsed=int(doc["elapsed"]),
         checksum=int(doc["checksum"]),
     )
+    count = int(doc["scanned_count"])
+    if count != rec.scanned_count:
+        raise ValueError(f"scanned_count {count} is not hi - lo = {rec.scanned_count}")
+    if not all(rec.lo <= h < rec.hi for h in rec.hits):
+        raise ValueError(f"a hit in {list(rec.hits)} lies outside [{rec.lo}, {rec.hi})")
+    return rec
 
 
 def read_records(path: Union[str, Path]) -> list[ScanRecord]:

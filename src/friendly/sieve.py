@@ -1,4 +1,4 @@
-"""Batched sum-of-divisors over integer segments, and index matching on them.
+"""Batched sum-of-divisors over integer segments.
 
 A segmented prime-power sieve, in blocks of _BLOCK values that stay in
 cache. At each multiple n of a prime p <= sqrt(hi - 1), with p^e the largest
@@ -22,9 +22,7 @@ guard, so results are exact, never floating point.
 
 A call holds block scratch and O(pi(sqrt(hi))) per-prime state whatever the
 width. The base primes are sieved once per process, for the highest segment
-seen or the bound given to ``cover``, and sliced for lower segments. The
-matcher compares sigma(n) with num * n / den at the multiples of
-den / gcd(num, den) only, in wrapping uint64; callers re-verify its hits.
+seen or the bound given to ``cover``, and sliced for lower segments.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["MAX_SEGMENT", "SieveBudgetError", "check_height", "check_width", "cover", "index_hits", "sigma_range"]
+__all__ = ["MAX_SEGMENT", "SieveBudgetError", "check_height", "check_width", "cover", "sigma_range"]
 
 # The widest segment: a policy on checkpoint granularity (the work one record
 # holds), not a memory budget, since a call's memory does not grow with width.
@@ -280,22 +278,3 @@ def _scatter(sig: np.ndarray, rest: np.ndarray, at: int, p: np.ndarray, inverse:
     where = np.repeat(-at % p - before * p, counts) + np.arange(len(step)) * step
     np.multiply.at(sig, where, step + 1)  # unbuffered: two primes can divide one value
     np.multiply.at(rest, where, np.repeat(inverse, counts))
-
-
-def index_hits(sig: np.ndarray, lo: int, num: int, den: int) -> list[int]:
-    """Every n in [lo, lo + len(sig)) with den * sig[n - lo] == num * n, ascending.
-
-    ``sig`` is sigma over that segment, as ``sigma_range`` hands a block of
-    it to a visitor, so the hits have abundancy index num/den. The test
-    wraps in uint64: it misses no hit, but where num * n / den passes 2^64
-    a value can match mod 2^64 only, so callers re-verify hits exactly.
-    """
-    # den * sigma(n) == num * n makes step = den / g divide n, and for
-    # n = step * k it reads sigma(n) == k * (num / g).
-    g = math.gcd(num, den)
-    step = den // g
-    first = -(-lo // step)  # the least k with step * k >= lo
-    sub = sig[first * step - lo :: step].view(np.uint64)
-    want = np.arange(first, first + len(sub), dtype=np.uint64)
-    want *= np.uint64(num // g % (1 << 64))
-    return [step * (first + int(j)) for j in np.flatnonzero(sub == want)]

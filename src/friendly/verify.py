@@ -41,11 +41,13 @@ from .scan import scan
 __all__ = ["SUITE_NAMES", "SuiteResult", "run_suites"]
 
 
-@dataclass
+@dataclass(slots=True)  # thm31 alone adds to ``checks`` 414,000 times
 class SuiteResult:
+    """A suite's counts, kept as it runs; ``notes`` holds its first 8 failures."""
+
     name: str
-    checks: int
-    failures: int
+    checks: int = 0
+    failures: int = 0
     notes: tuple[str, ...] = ()
     elapsed_ms: int = 0
 
@@ -53,27 +55,15 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.failures == 0
 
-
-class _Tally:
-    __slots__ = ("checks", "failures", "notes")
-
-    def __init__(self):
-        self.checks = 0
-        self.failures = 0
-        self.notes: list[str] = []
-
     def fail(self, note: str) -> None:
         self.failures += 1
         if len(self.notes) < 8:
-            self.notes.append(note)
-
-    def result(self, name: str) -> SuiteResult:
-        return SuiteResult(name, self.checks, self.failures, tuple(self.notes))
+            self.notes += (note,)
 
 
 def verify_prop22() -> SuiteResult:
     """sigma(5^(2a)) mod 8 agrees with the mod-4 classifier for a up to 10^4."""
-    t = _Tally()
+    t = SuiteResult("prop22")
     power = 5 ** 3  # 5^(2a+1), kept incrementally
     for a in range(1, 10_001):
         direct = ((power - 1) // 4) % 8
@@ -81,7 +71,7 @@ def verify_prop22() -> SuiteResult:
         if sigma5_mod8(a) != direct:
             t.fail(f"a={a}: classifier {sigma5_mod8(a)} != direct {direct}")
         power *= 25
-    return t.result("prop22")
+    return t
 
 
 def verify_thm31() -> SuiteResult:
@@ -91,7 +81,7 @@ def verify_thm31() -> SuiteResult:
     oracle side computes the full divisor sum in arbitrary precision and
     reduces it mod p.
     """
-    t = _Tally()
+    t = SuiteResult("thm31")
     primes = primes_below(200)
     for q in primes:
         sums = []
@@ -107,14 +97,14 @@ def verify_thm31() -> SuiteResult:
                 t.checks += 1
                 if divides_sigma_even_power(p, q, a) != direct:
                     t.fail(f"p={p} q={q} a={a}: predicted {not direct}, direct {direct}")
-    return t.result("thm31")
+    return t
 
 
 def verify_mod8() -> SuiteResult:
     """The mod-8 sum skeleton: over all a up to 100 and all odd Q up to 10^4
     coprime to 15, whenever sigma(5^(2a)) * sigma(Q^2) ≡ 5 (mod 8), the sum
     is ≡ 6 exactly for even a and ≡ 2 exactly for odd a."""
-    t = _Tally()
+    t = SuiteResult("mod8")
     s5 = []
     power = 125
     for _ in range(100):
@@ -138,10 +128,10 @@ def verify_mod8() -> SuiteResult:
                 t.fail(f"a={a} Q={q}: sum ≡ {(s5a + sq) % 8}, want {want}")
     if t.checks == 0:
         t.fail("hypothesis never held; the skeleton test is vacuous")
-    return t.result("mod8")
+    return t
 
 
-def _lemma21_weak_multiplicativity(t: _Tally) -> None:
+def _lemma21_weak_multiplicativity(t: SuiteResult) -> None:
     cache: dict[int, Fraction] = {}
 
     def index(k: int) -> Fraction:
@@ -160,7 +150,7 @@ def _lemma21_weak_multiplicativity(t: _Tally) -> None:
                 t.fail(f"I({m}*{n}) != I({m})*I({n})")
 
 
-def _lemma21_monotone(t: _Tally) -> None:
+def _lemma21_monotone(t: SuiteResult) -> None:
     # Only the indices the loop reads: n <= 1000 and alpha * n.
     cache = {k: abundancy_index(k) for k in {a * n for n in range(1, 1001) for a in range(1, 11)}}
     for n in range(1, 1001):
@@ -184,7 +174,7 @@ def _dominated(small: tuple[int, ...], primes: tuple[int, ...]) -> list[tuple[in
     return larges
 
 
-def _lemma21_prime_replacement(t: _Tally) -> None:
+def _lemma21_prime_replacement(t: SuiteResult) -> None:
     primes = primes_below(50)
     # Every exponent is at most 3, so every den divides D and an index
     # num/den compares as the integer num * (D // den).
@@ -212,7 +202,7 @@ def _lemma21_prime_replacement(t: _Tally) -> None:
                             t.fail(f"I({small}^{ex}) < I({large}^{ex})")
 
 
-def _lemma21_strict_bound(t: _Tally) -> None:
+def _lemma21_strict_bound(t: SuiteResult) -> None:
     for n in range(2, 10 ** 5 + 1):
         f = factorize(n)
         num = den = 1
@@ -231,19 +221,19 @@ def verify_lemma21() -> SuiteResult:
     replacement over supports of up to 3 primes below 50 with exponents up
     to 3, and the strict support ceiling for n up to 10^5 (n = 1 has empty
     support and is skipped)."""
-    t = _Tally()
+    t = SuiteResult("lemma21")
     _lemma21_weak_multiplicativity(t)
     _lemma21_monotone(t)
     _lemma21_prime_replacement(t)
     _lemma21_strict_bound(t)
-    return t.result("lemma21")
+    return t
 
 
 def verify_bounds() -> SuiteResult:
     """Consistency of the two lower bounds for omega from 3 to 12, plus
     strictness of the per-prime divisor-sum inequality for all primes below
     1000 and a up to 50."""
-    t = _Tally()
+    t = SuiteResult("bounds")
     for omega in range(3, 13):
         t.checks += 1
         if Fraction(omega_lower_bound(omega)) != lower_bound((2,) + (1,) * (omega - 1)):
@@ -253,7 +243,7 @@ def verify_bounds() -> SuiteResult:
             t.checks += 1
             if not am_gm_sigma_bound(p, a):
                 t.fail(f"sigma({p}^{2 * a}) <= (2a+1)p^a")
-    return t.result("bounds")
+    return t
 
 
 def verify_residue() -> SuiteResult:
@@ -266,7 +256,7 @@ def verify_residue() -> SuiteResult:
     below 10^7 shares 10's index except 10 itself.
     """
     scan_bound = 10 ** 7
-    t = _Tally()
+    t = SuiteResult("residue")
     for u in range(1000):
         s = 360 * u + 315
         value = 5 * 31 * s
@@ -289,7 +279,7 @@ def verify_residue() -> SuiteResult:
     t.checks += 1
     if not (outcome.complete and outcome.hits == (10,)):
         t.fail(f"scan to {scan_bound} returned hits {outcome.hits}")
-    return t.result("residue")
+    return t
 
 
 _SUITES = {

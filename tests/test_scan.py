@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import time
 import tracemalloc
 import warnings
@@ -28,12 +29,13 @@ from friendly.scan import (
     WORKERS_PER_CPU,
     checkpoint_load,
     checkpoint_save,
+    index_hits,
     max_workers,
     read_records,
     scan,
     scan_range,
 )
-from friendly.sieve import MAX_SEGMENT, SieveBudgetError, index_hits, sigma_range
+from friendly.sieve import MAX_SEGMENT, SieveBudgetError, sigma_range
 
 
 def divisor_sum(n):
@@ -679,6 +681,31 @@ def test_corrupt_middle_record_reports_its_offset(tmp_path):
         scan(1200, Fraction(2), segment_size=100, checkpoint_path=path)
     assert info.value.offset == len(lines[0])
     assert f"at byte {len(lines[0])}" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("scanned_count", "7", "scanned_count 7 is not hi - lo = 1000"),
+        ("hits", ["10"], "outside [1001, 2001)"),
+    ],
+    ids=["count", "hit"],
+)
+def test_resume_refuses_a_record_that_disagrees_with_its_segment(tmp_path, field, value, reason):
+    path = tmp_path / "scan.checkpoint"
+    records = tmp_path / "scan.checkpoint.records"
+    scan(4000, Fraction(9, 5), segment_size=1000, checkpoint_path=path, max_segments=3)
+    lines = records.read_bytes().splitlines(keepends=True)
+    doc = json.loads(lines[1])
+    assert (doc["lo"], doc["hi"]) == ("1001", "2001")
+    doc[field] = value
+    lines[1] = json.dumps(doc).encode("utf-8") + b"\n"
+    records.write_bytes(b"".join(lines))
+    before = path.read_bytes(), records.read_bytes()
+    with pytest.raises(CheckpointCorruptError, match=re.escape(reason)) as info:
+        scan(4000, Fraction(9, 5), segment_size=1000, checkpoint_path=path)
+    assert info.value.offset == len(lines[0])
+    assert (path.read_bytes(), records.read_bytes()) == before
 
 
 @pytest.mark.parametrize("other_seg, other_target", [(50, Fraction(2)), (100, Fraction(9, 5))])

@@ -61,8 +61,8 @@ def test_prime_replacement_reports_an_injected_fault_as_a_naive_loop_does(monkey
         return real(p, e) + (1000 if (p, e) == (47, 1) else 0)
 
     monkeypatch.setattr(verify, "sigma_prime_power", faulty)
-    tally = verify._Tally()
+    tally = verify.SuiteResult("lemma21")
     verify._lemma21_prime_replacement(tally)
     checks, failures, notes = naive_prime_replacement(faulty)
     assert (checks, failures) == (1_758_060, 174_734)
-    assert (tally.checks, tally.failures, tally.notes) == (checks, failures, notes)
+    assert (tally.checks, tally.failures, list(tally.notes)) == (checks, failures, notes)
