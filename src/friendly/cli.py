@@ -156,8 +156,6 @@ def _cmd_friends(ns):
 
 
 def _cmd_solitary(ns):
-    if ns.n < 1:
-        raise ValueError("n must be positive")
     f = factorize(ns.n)  # once, for both the certificate and the gcd
     verdict = solitary_certificate(f)
     g = math.gcd(ns.n, sigma(f))
@@ -296,30 +294,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("sigma", help="sum of divisors of N")
-    p.add_argument("n", type=parse_natural)
+    p.add_argument("n", type=parse_positive)
     common(p, _cmd_sigma)
 
     p = sub.add_parser("index", help="abundancy index sigma(N)/N as an exact ratio")
-    p.add_argument("n", type=parse_natural)
+    p.add_argument("n", type=parse_positive)
     common(p, _cmd_index)
 
     p = sub.add_parser("friends", help="all friends of N up to a bound")
-    p.add_argument("n", type=parse_natural)
+    p.add_argument("n", type=parse_positive)
     _option(p, "--bound", type=parse_natural, required=True)
     common(p, _cmd_friends)
 
     p = sub.add_parser("solitary", help="gcd-based solitary certificate for N")
-    p.add_argument("n", type=parse_natural)
+    p.add_argument("n", type=parse_positive)
     common(p, _cmd_solitary)
 
     p = sub.add_parser("check", help="run the filter chain on a structured candidate")
-    _option(p, "--a", type=parse_natural, required=True, help="half-exponent of 5")
+    _option(p, "--a", type=parse_positive, required=True, help="half-exponent of 5")
     _option(p, "--q-factors", type=parse_q_factors, default=Factorization(()),
             help="factorization of Q as P1^E1,P2^E2,... (empty for Q = 1)")
     common(p, _cmd_check)
 
     p = sub.add_parser("derive", help="residue class every friend of 10 with this a must hit")
-    _option(p, "--a", type=parse_natural, required=True)
+    _option(p, "--a", type=parse_positive, required=True)
     common(p, _cmd_derive)
 
     p = sub.add_parser("scan", help="exhaustive index scan of [1, bound)")

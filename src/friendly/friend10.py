@@ -3,12 +3,11 @@
 Any integer sharing 10's abundancy index 9/5 must be an odd square of the
 form 5^(2a) * Q^2 with Q odd and coprime to 15, at least seven distinct
 prime factors, and 5 as its least prime. The bound of seven distinct primes
-is taken without a source in this repository; only the structural checks
-(``structural_precheck`` and the ``structural`` rule) use it. Each further
-necessary condition is exposed here as its own predicate plus a named rule;
-`filter_chain` runs them in a fixed cheapest-first order and reports which
-rule, if any, kills a candidate. Every check is exact integer or rational
-arithmetic.
+is taken without a source in this repository; only the ``structural`` rule
+uses it. Each necessary condition is one rule in an ordered table:
+`check_rule` runs any one of them by name, and `filter_chain` runs them all
+in that fixed cheapest-first order and reports which rule, if any, kills a
+candidate. Every check is exact integer or rational arithmetic.
 """
 
 from __future__ import annotations
@@ -17,11 +16,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import merge
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .abundancy import _support_ceiling, index_upper_bound
+from .abundancy import _support_ceiling
 from .arith import (
     Factorization,
     crt,
@@ -40,21 +39,15 @@ __all__ = [
     "RuleResult",
     "Verdict",
     "am_gm_sigma_bound",
-    "congruence_sum_check",
+    "check_rule",
     "derive_residue_class",
     "divides_sigma_even_power",
     "enumerate_structured",
-    "eq1_check",
-    "exponent_filter_mod27",
-    "exponent_filter_mod3",
     "filter_chain",
     "lower_bound",
-    "nine_exact_divisibility",
     "omega_lower_bound",
-    "prime_support_filter",
     "sigma5_mod8",
     "smallest_odd_f",
-    "structural_precheck",
 ]
 
 TARGET_INDEX = Fraction(9, 5)
@@ -230,24 +223,6 @@ def divides_sigma_even_power(p: int, q: int, a: int) -> bool:
     return f is not None and (2 * a + 1) % f == 0
 
 
-def _sigma_q_squared(c: Candidate) -> int:
-    out = 1
-    for p, e in c.q_factorization:
-        out *= sigma_prime_power(p, 2 * e)
-    return out
-
-
-def eq1_check(c: Candidate) -> bool:
-    """Exact test of sigma(5^(2a)) * sigma(Q^2) == 9 * 5^(2a-1) * Q^2.
-
-    Holding is equivalent to F having abundancy index 9/5, i.e. to F being
-    an actual friend of 10.
-    """
-    lhs = sigma_prime_power(5, 2 * c.a) * _sigma_q_squared(c)
-    rhs = 9 * 5 ** (2 * c.a - 1) * c.q ** 2
-    return lhs == rhs
-
-
 def _geom_sum_mod(p: int, terms: int, mod: int) -> int:
     """(1 + p + ... + p^(terms-1)) mod ``mod`` for prime p, without big powers:
     p^terms ≡ 1 (mod p - 1) still holds after reducing mod mod * (p - 1)."""
@@ -259,73 +234,6 @@ def _sigma_q_squared_mod(c: Candidate, mod: int) -> int:
     for p, e in c.q_factorization:
         out = out * _geom_sum_mod(p, 2 * e + 1, mod) % mod
     return out
-
-
-def nine_exact_divisibility(c: Candidate) -> bool:
-    """True iff 9 divides sigma(F) and 27 does not.
-
-    sigma(F) is reduced mod 27 straight from the candidate's factorization;
-    F itself is never factored (it may be far beyond any factoring budget
-    even when its structure is known).
-    """
-    return _nine_exact_rule(c).verdict is Verdict.PASS
-
-
-def _exponent_filter(c: Candidate, rule: str, residue: int, modulus: int) -> RuleResult:
-    for i, e in enumerate(c.half_exponents):
-        if e % modulus != residue:
-            return RuleResult(rule, Verdict.PASS, f"a_{i + 1} = {e} is not {residue} mod {modulus}")
-    return RuleResult(rule, Verdict.REJECT, f"every half-exponent is {residue} mod {modulus}")
-
-
-def exponent_filter_mod3(c: Candidate) -> RuleResult:
-    """Reject when every half-exponent a_i ≡ 1 (mod 3).
-
-    An all-ones-mod-3 pattern forces 31 into F, then 331, then 7, stacking
-    three factors of 3 onto sigma(F) and breaking the exact-9 requirement,
-    so no friend of 10 can look like that.
-    """
-    return _exponent_filter(c, "exponent_mod3", 1, 3)
-
-
-def exponent_filter_mod27(c: Candidate) -> RuleResult:
-    """Reject when every half-exponent a_i ≡ 13 (mod 27).
-
-    Implied by the mod-3 rule (13 ≡ 1 mod 3) but kept as an independent
-    cross-check of the coarser filter.
-    """
-    return _exponent_filter(c, "exponent_mod27", 13, 27)
-
-
-def congruence_sum_check(c: Candidate) -> RuleResult:
-    """Mod-8 coupling of sigma(5^(2a)) and sigma(Q^2).
-
-    Only meaningful when the product already matches 9 * 5^(2a-1) * Q^2 mod 8,
-    i.e. is ≡ 5 (Q^2 being odd); when that shadow of the defining equation
-    fails the hypothesis is void and the rule abstains. Under the hypothesis
-    the sum must be 6 mod 8 for even a and 2 mod 8 for odd a.
-    """
-    s5 = sigma5_mod8(c.a)
-    sq = _sigma_q_squared_mod(c, 8)
-    if s5 * sq % 8 != 5:
-        return RuleResult(
-            "mod8_sum",
-            Verdict.NOT_APPLICABLE,
-            f"product {s5} * {sq} ≡ {s5 * sq % 8} (mod 8); hypothesis ≡ 5 fails",
-        )
-    total = (s5 + sq) % 8
-    want = 6 if c.a % 2 == 0 else 2
-    if total == want:
-        return RuleResult(
-            "mod8_sum",
-            Verdict.PASS,
-            f"sum ≡ {total} (mod 8) matches a {'even' if c.a % 2 == 0 else 'odd'}",
-        )
-    return RuleResult(
-        "mod8_sum",
-        Verdict.REJECT,
-        f"sum ≡ {total} (mod 8), expected {want} for a {'even' if c.a % 2 == 0 else 'odd'}",
-    )
 
 
 def lower_bound(exponents: Iterable[int]) -> Fraction:
@@ -383,108 +291,117 @@ def derive_residue_class(a: int) -> ResidueClass:
     return ResidueClass(residue=residue, modulus=modulus)
 
 
-def prime_support_filter(primes: Iterable[int]) -> RuleResult:
-    """Reject supports whose index ceiling prod p/(p-1) cannot reach 9/5."""
-    ps = tuple(primes)
-    if 5 not in ps:
-        raise ValueError("candidate prime support must include 5")
-    return _prime_support_verdict(index_upper_bound(ps))
+# --- the rules ------------------------------------------------------------------
+# Each rule maps a candidate to its verdict and a one-line detail; its name is
+# its key in _RULES.
 
 
-def _prime_support_verdict(bound: Fraction) -> RuleResult:
-    if bound <= TARGET_INDEX:
-        return RuleResult(
-            "prime_support",
-            Verdict.REJECT,
-            f"index ceiling {bound} <= 9/5; no exponents can reach 9/5",
-        )
-    return RuleResult(
-        "prime_support", Verdict.PASS, f"index ceiling {bound} exceeds 9/5"
-    )
-
-
-def structural_precheck(n: int) -> RuleResult:
-    """Shape checks on a raw integer: odd perfect square, divisible by 5,
-    coprime to 3, at least seven distinct primes. The detail names the
-    first violated clause."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n % 2 == 0:
-        return RuleResult("structural", Verdict.REJECT, f"{n} is even")
-    root = math.isqrt(n)
-    if root * root != n:
-        return RuleResult("structural", Verdict.REJECT, f"{n} is not a perfect square")
-    if n % 5 != 0:
-        return RuleResult("structural", Verdict.REJECT, f"5 does not divide {n}")
-    if n % 3 == 0:
-        return RuleResult("structural", Verdict.REJECT, f"3 divides {n}")
-    w = len(factorize(n))
-    if w < 7:
-        return RuleResult("structural", Verdict.REJECT, f"omega = {w} < 7")
-    return RuleResult(
-        "structural", Verdict.PASS, f"odd square, 5 | n, 3 does not divide n, omega = {w}"
-    )
-
-
-def _structural_rule(c: Candidate) -> RuleResult:
+def _structural(c: Candidate) -> tuple[Verdict, str]:
     # The candidate shape already guarantees odd square, 5 | F, 3 does not
     # divide F; only the prime count can fail.
     if c.omega < 7:
-        return RuleResult("structural", Verdict.REJECT, f"omega = {c.omega} < 7")
-    return RuleResult(
-        "structural",
-        Verdict.PASS,
-        f"odd square by construction, omega = {c.omega}",
-    )
+        return Verdict.REJECT, f"omega = {c.omega} < 7"
+    return Verdict.PASS, f"odd square by construction, omega = {c.omega}"
 
 
-def _prime_support_rule(c: Candidate) -> RuleResult:
+def _prime_support(c: Candidate) -> tuple[Verdict, str]:
+    """Reject supports whose index ceiling prod p/(p-1) cannot reach 9/5."""
     # The candidate's Factorization already validated its primes.
-    return _prime_support_verdict(_support_ceiling(c.primes))
+    bound = _support_ceiling(c.primes)
+    if bound <= TARGET_INDEX:
+        return Verdict.REJECT, f"index ceiling {bound} <= 9/5; no exponents can reach 9/5"
+    return Verdict.PASS, f"index ceiling {bound} exceeds 9/5"
 
 
-def _nine_exact_rule(c: Candidate) -> RuleResult:
+def _exponent_pattern(c: Candidate, residue: int, modulus: int) -> tuple[Verdict, str]:
+    """Reject when every half-exponent a_i ≡ residue (mod modulus).
+
+    Bound to 1 mod 3: an all-ones-mod-3 pattern forces 31 into F, then 331,
+    then 7, stacking three factors of 3 onto sigma(F) and breaking the
+    exact-9 requirement, so no friend of 10 can look like that. Bound to
+    13 mod 27, it is implied by the mod-3 rule (13 ≡ 1 mod 3) but kept as an
+    independent cross-check of the coarser filter.
+    """
+    for i, e in enumerate(c.half_exponents):
+        if e % modulus != residue:
+            return Verdict.PASS, f"a_{i + 1} = {e} is not {residue} mod {modulus}"
+    return Verdict.REJECT, f"every half-exponent is {residue} mod {modulus}"
+
+
+def _mod8_sum(c: Candidate) -> tuple[Verdict, str]:
+    """Mod-8 coupling of sigma(5^(2a)) and sigma(Q^2).
+
+    Only meaningful when the product already matches 9 * 5^(2a-1) * Q^2 mod 8,
+    i.e. is ≡ 5 (Q^2 being odd); when that shadow of the defining equation
+    fails the hypothesis is void and the rule abstains. Under the hypothesis
+    the sum must be 6 mod 8 for even a and 2 mod 8 for odd a.
+    """
+    s5 = sigma5_mod8(c.a)
+    sq = _sigma_q_squared_mod(c, 8)
+    if s5 * sq % 8 != 5:
+        return Verdict.NOT_APPLICABLE, f"product {s5} * {sq} ≡ {s5 * sq % 8} (mod 8); hypothesis ≡ 5 fails"
+    total = (s5 + sq) % 8
+    parity, want = ("even", 6) if c.a % 2 == 0 else ("odd", 2)
+    if total == want:
+        return Verdict.PASS, f"sum ≡ {total} (mod 8) matches a {parity}"
+    return Verdict.REJECT, f"sum ≡ {total} (mod 8), expected {want} for a {parity}"
+
+
+def _nine_exact(c: Candidate) -> tuple[Verdict, str]:
+    """Pass iff 9 divides sigma(F) and 27 does not.
+
+    sigma(F) is reduced mod 27 straight from the candidate's factorization;
+    F itself is never factored (it may be far beyond any factoring budget
+    even when its structure is known).
+    """
     m = _geom_sum_mod(5, 2 * c.a + 1, 27) * _sigma_q_squared_mod(c, 27) % 27
     if m % 9 == 0 and m != 0:
-        return RuleResult("nine_exact", Verdict.PASS, f"sigma(F) ≡ {m} (mod 27)")
-    return RuleResult(
-        "nine_exact",
-        Verdict.REJECT,
-        f"sigma(F) ≡ {m} (mod 27): 9 must divide it exactly once",
-    )
+        return Verdict.PASS, f"sigma(F) ≡ {m} (mod 27)"
+    return Verdict.REJECT, f"sigma(F) ≡ {m} (mod 27): 9 must divide it exactly once"
 
 
-def _residue_class_rule(c: Candidate) -> RuleResult:
+def _residue_class(c: Candidate) -> tuple[Verdict, str]:
     rc = derive_residue_class(c.a)
     if rc.contains(c.value):
-        return RuleResult(
-            "residue_class", Verdict.PASS, f"F ≡ {rc.residue} (mod {rc.modulus})"
-        )
-    return RuleResult(
-        "residue_class",
+        return Verdict.PASS, f"F ≡ {rc.residue} (mod {rc.modulus})"
+    return (
         Verdict.REJECT,
         f"F ≡ {c.value % rc.modulus}, friends with a = {c.a} need ≡ {rc.residue} (mod {rc.modulus})",
     )
 
 
-def _eq1_rule(c: Candidate) -> RuleResult:
-    if eq1_check(c):
-        return RuleResult("eq1", Verdict.PASS, "sigma(5^2a) * sigma(Q^2) = 9 * 5^(2a-1) * Q^2")
-    return RuleResult("eq1", Verdict.REJECT, "index of F is not exactly 9/5")
+def _eq1(c: Candidate) -> tuple[Verdict, str]:
+    """Exact test of sigma(5^(2a)) * sigma(Q^2) == 9 * 5^(2a-1) * Q^2.
+
+    Holding is equivalent to F having abundancy index 9/5, i.e. to F being
+    an actual friend of 10.
+    """
+    lhs = sigma_prime_power(5, 2 * c.a)
+    for p, e in c.q_factorization:
+        lhs *= sigma_prime_power(p, 2 * e)
+    if lhs == 9 * 5 ** (2 * c.a - 1) * c.q ** 2:
+        return Verdict.PASS, "sigma(5^2a) * sigma(Q^2) = 9 * 5^(2a-1) * Q^2"
+    return Verdict.REJECT, "index of F is not exactly 9/5"
 
 
-_CHAIN: tuple[tuple[str, object], ...] = (
-    ("structural", _structural_rule),
-    ("prime_support", _prime_support_rule),
-    ("exponent_mod3", exponent_filter_mod3),
-    ("exponent_mod27", exponent_filter_mod27),
-    ("mod8_sum", congruence_sum_check),
-    ("nine_exact", _nine_exact_rule),
-    ("residue_class", _residue_class_rule),
-    ("eq1", _eq1_rule),
-)
+# The chain, cheapest first.
+_RULES: dict[str, Callable[[Candidate], tuple[Verdict, str]]] = {
+    "structural": _structural,
+    "prime_support": _prime_support,
+    "exponent_mod3": partial(_exponent_pattern, residue=1, modulus=3),
+    "exponent_mod27": partial(_exponent_pattern, residue=13, modulus=27),
+    "mod8_sum": _mod8_sum,
+    "nine_exact": _nine_exact,
+    "residue_class": _residue_class,
+    "eq1": _eq1,
+}
 
-CHAIN_RULES = tuple(name for name, _ in _CHAIN)
+
+def check_rule(name: str, c: Candidate) -> RuleResult:
+    """Run the chain's rule ``name`` on ``c``, as `filter_chain` runs it;
+    KeyError for a name that is not in the chain."""
+    verdict, detail = _RULES[name](c)
+    return RuleResult(name, verdict, detail)
 
 
 def filter_chain(c: Candidate) -> FilterReport:
@@ -497,13 +414,13 @@ def filter_chain(c: Candidate) -> FilterReport:
     """
     results = []
     rejected = False
-    for name, rule in _CHAIN:
+    for name in _RULES:
         if rejected:
             results.append(
                 RuleResult(name, Verdict.NOT_APPLICABLE, "skipped after earlier rejection")
             )
             continue
-        outcome = rule(c)
+        outcome = check_rule(name, c)
         results.append(outcome)
         rejected = outcome.verdict is Verdict.REJECT
     return FilterReport(candidate=c.label, results=tuple(results))

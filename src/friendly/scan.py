@@ -12,7 +12,8 @@ without a whole line in it, including one whose last line a crash cut short.
 
 The matcher, ``index_hits``, compares sigma(n) with num * n / den at the
 multiples of den / gcd(num, den) only, in wrapping uint64; ``scan_range``
-re-verifies each of its hits exactly.
+re-verifies each of its hits exactly, and a resume re-verifies each stored
+hit the same way.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def scan_range(lo: int, hi: int, target: Fraction) -> ScanRecord:
         checksum += int(np.add.reduce(block.view(np.uint64), dtype=np.uint64))
 
     sieve.sigma_range(lo, hi, visit)
-    hits = tuple(h for h in raw if sigma(factorize(h)) * den == h * num)
+    hits = tuple(h for h in raw if _is_hit(h, num, den))
     checksum &= _U64
     elapsed = int((time.perf_counter() - started) * 1000)
     return ScanRecord(
@@ -164,6 +165,11 @@ def index_hits(sig: np.ndarray, lo: int, num: int, den: int) -> list[int]:
     return [step * (first + int(j)) for j in np.flatnonzero(sub == want)]
 
 
+def _is_hit(n: int, num: int, den: int) -> bool:
+    """Exactly whether n has abundancy index num/den."""
+    return sigma(factorize(n)) * den == n * num
+
+
 # --- persistence -----------------------------------------------------------
 
 
@@ -192,7 +198,12 @@ def record_to_json(rec: ScanRecord) -> str:
 
 
 def record_from_json(line: Union[str, bytes]) -> ScanRecord:
-    """Decode one record; ValueError if its count or hits disagree with its segment."""
+    """Decode one record; ValueError if it contradicts its own segment or index.
+
+    Refused: a count that is not hi - lo; hits outside [lo, hi) or not
+    strictly ascending; a checksum outside [0, 2^64); a segment past the
+    sieve's height; a hit whose index is not exactly the record's.
+    """
     doc = json.loads(line)
     rec = ScanRecord(
         lo=int(doc["lo"]),
@@ -207,6 +218,18 @@ def record_from_json(line: Union[str, bytes]) -> ScanRecord:
         raise ValueError(f"scanned_count {count} is not hi - lo = {rec.scanned_count}")
     if not all(rec.lo <= h < rec.hi for h in rec.hits):
         raise ValueError(f"a hit in {list(rec.hits)} lies outside [{rec.lo}, {rec.hi})")
+    if any(h >= k for h, k in zip(rec.hits, rec.hits[1:])):
+        raise ValueError(f"hits {list(rec.hits)} are not strictly ascending")
+    if not 0 <= rec.checksum <= _U64:
+        raise ValueError(f"checksum {rec.checksum} lies outside [0, 2^64)")
+    try:
+        sieve.check_height(rec.hi)  # so each hit below is quick to factor
+    except sieve.SieveBudgetError as exc:
+        raise ValueError(f"[{rec.lo}, {rec.hi}) is no segment of a scan: {exc}") from exc
+    num, den = rec.target_index.numerator, rec.target_index.denominator
+    for h in rec.hits:
+        if not _is_hit(h, num, den):
+            raise ValueError(f"hit {h} does not have index {_fraction_str(rec.target_index)}")
     return rec
 
 

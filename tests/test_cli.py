@@ -83,6 +83,90 @@ def test_check_defaults_to_q_equal_one(run_cli):
     assert "RejectedBy(structural)" in result.stdout
 
 
+# `friendly check` output for one candidate per rule that can reject first.
+_CHECK_GOLDEN = {
+    ("1", "7,11,13,17,19,23"): """\
+candidate: 5^2 * 7^2 * 11^2 * 13^2 * 17^2 * 19^2 * 23^2
+  structural      pass    odd square by construction, omega = 7
+  prime_support   pass    index ceiling 676039/331776 exceeds 9/5
+  exponent_mod3   REJECT  every half-exponent is 1 mod 3
+  exponent_mod27  n/a     skipped after earlier rejection
+  mod8_sum        n/a     skipped after earlier rejection
+  nine_exact      n/a     skipped after earlier rejection
+  residue_class   n/a     skipped after earlier rejection
+  eq1             n/a     skipped after earlier rejection
+overall: RejectedBy(exponent_mod3)
+""",
+    ("1", "7"): """\
+candidate: 5^2 * 7^2
+  structural      REJECT  omega = 2 < 7
+  prime_support   n/a     skipped after earlier rejection
+  exponent_mod3   n/a     skipped after earlier rejection
+  exponent_mod27  n/a     skipped after earlier rejection
+  mod8_sum        n/a     skipped after earlier rejection
+  nine_exact      n/a     skipped after earlier rejection
+  residue_class   n/a     skipped after earlier rejection
+  eq1             n/a     skipped after earlier rejection
+overall: RejectedBy(structural)
+""",
+    ("1", "97,101,103,107,109,113"): """\
+candidate: 5^2 * 97^2 * 101^2 * 103^2 * 107^2 * 109^2 * 113^2
+  structural      pass    odd square by construction, omega = 7
+  prime_support   REJECT  index ceiling 1329900201629/1004405391360 <= 9/5; no exponents can reach 9/5
+  exponent_mod3   n/a     skipped after earlier rejection
+  exponent_mod27  n/a     skipped after earlier rejection
+  mod8_sum        n/a     skipped after earlier rejection
+  nine_exact      n/a     skipped after earlier rejection
+  residue_class   n/a     skipped after earlier rejection
+  eq1             n/a     skipped after earlier rejection
+overall: RejectedBy(prime_support)
+""",
+    ("2", "7,11,13,17,19,23"): """\
+candidate: 5^4 * 7^2 * 11^2 * 13^2 * 17^2 * 19^2 * 23^2
+  structural      pass    odd square by construction, omega = 7
+  prime_support   pass    index ceiling 676039/331776 exceeds 9/5
+  exponent_mod3   pass    a_1 = 2 is not 1 mod 3
+  exponent_mod27  pass    a_1 = 2 is not 13 mod 27
+  mod8_sum        n/a     product 5 * 5 ≡ 1 (mod 8); hypothesis ≡ 5 fails
+  nine_exact      REJECT  sigma(F) ≡ 0 (mod 27): 9 must divide it exactly once
+  residue_class   n/a     skipped after earlier rejection
+  eq1             n/a     skipped after earlier rejection
+overall: RejectedBy(nine_exact)
+""",
+    ("2", "7,11,13,17,23,29"): """\
+candidate: 5^4 * 7^2 * 11^2 * 13^2 * 17^2 * 23^2 * 29^2
+  structural      pass    odd square by construction, omega = 7
+  prime_support   pass    index ceiling 147407/73728 exceeds 9/5
+  exponent_mod3   pass    a_1 = 2 is not 1 mod 3
+  exponent_mod27  pass    a_1 = 2 is not 13 mod 27
+  mod8_sum        n/a     product 5 * 7 ≡ 3 (mod 8); hypothesis ≡ 5 fails
+  nine_exact      pass    sigma(F) ≡ 9 (mod 27)
+  residue_class   REJECT  F ≡ 3210625, friends with a = 2 need ≡ 2440625 (mod 3905000)
+  eq1             n/a     skipped after earlier rejection
+overall: RejectedBy(residue_class)
+""",
+    ("2", "7,11,13,17,23,71"): """\
+candidate: 5^4 * 7^2 * 11^2 * 13^2 * 17^2 * 23^2 * 71^2
+  structural      pass    odd square by construction, omega = 7
+  prime_support   pass    index ceiling 360893/184320 exceeds 9/5
+  exponent_mod3   pass    a_1 = 2 is not 1 mod 3
+  exponent_mod27  pass    a_1 = 2 is not 13 mod 27
+  mod8_sum        pass    sum ≡ 6 (mod 8) matches a even
+  nine_exact      pass    sigma(F) ≡ 9 (mod 27)
+  residue_class   pass    F ≡ 2440625 (mod 3905000)
+  eq1             REJECT  index of F is not exactly 9/5
+overall: RejectedBy(eq1)
+""",
+}
+
+
+@pytest.mark.parametrize("a, q_factors", list(_CHECK_GOLDEN))
+def test_check_human_report_is_pinned(monkeypatch, capsys, a, q_factors):
+    monkeypatch.delenv("FRIENDLY_JSON", raising=False)
+    assert cli.main(["check", "--a", a, "--q-factors", q_factors]) == 0
+    assert capsys.readouterr().out == _CHECK_GOLDEN[(a, q_factors)]
+
+
 # --- the CLI is a thin adapter over the library --------------------------------
 
 
@@ -225,18 +309,28 @@ def test_segment_past_the_sieve_budget_is_domain_error(run_cli, tmp_path):
 
 
 def test_domain_error_exit_1(run_cli):
-    result = run_cli("sigma", "0")
+    result = run_cli("scan", "--bound", "1", "--index", "9/5")
     assert result.returncode == 1
     assert "error:" in result.stderr
 
 
 def test_domain_error_json_object(run_cli):
-    result = run_cli("sigma", "0", "--json")
+    result = run_cli("scan", "--bound", "1", "--index", "9/5", "--json")
     assert result.returncode == 1
     doc = json.loads(result.stdout)
-    assert doc["command"] == "sigma"
+    assert doc["command"] == "scan"
     assert doc["error"]["type"] == "ValueError"
-    assert "n >= 1" in doc["error"]["message"]
+    assert "bound must be >= 2" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "args", [("sigma", "0"), ("index", "0"), ("solitary", "0"), ("friends", "0", "--bound", "10")]
+)
+def test_zero_n_is_a_usage_error(run_cli, args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert "argument n: expected a positive integer, got '0'" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_check_rejects_bad_q_factors(run_cli):
@@ -275,6 +369,8 @@ def test_workers_past_the_cap_are_a_usage_error(monkeypatch, capsys):
         (("scan", "--bound", "100", "--index", "9/5"), "--segment-size", "0", "expected a positive integer, got '0'"),
         (("scan", "--bound", "100", "--index", "9/5"), "--workers", "0", "expected a positive integer, got '0'"),
         (("scan", "--bound", "100", "--index", "9/5"), "--workers", "-2", "expected a natural number, got '-2'"),
+        (("check",), "--a", "0", "expected a positive integer, got '0'"),
+        (("derive",), "--a", "0", "expected a positive integer, got '0'"),
     ],
 )
 def test_usage_error_keeps_the_parsers_reason(run_cli, args, flag, value, reason):

@@ -18,20 +18,14 @@ from friendly.friend10 import (
     Verdict,
     _geom_sum_mod,
     am_gm_sigma_bound,
-    congruence_sum_check,
+    check_rule,
     derive_residue_class,
     divides_sigma_even_power,
-    eq1_check,
-    exponent_filter_mod27,
-    exponent_filter_mod3,
     filter_chain,
     lower_bound,
-    nine_exact_divisibility,
     omega_lower_bound,
-    prime_support_filter,
     sigma5_mod8,
     smallest_odd_f,
-    structural_precheck,
 )
 from friendly.friend10 import enumerate_structured
 
@@ -43,6 +37,11 @@ def candidate(a, q=1, exponents=None):
     primes = (7, 11, 13, 17, 19, 23, 29, 31, 37)
     pairs = tuple((p, e) for p, e in zip(primes, exponents))
     return Candidate(a=a, q_factorization=Factorization(pairs))
+
+
+def passes(name, c):
+    """Whether rule ``name`` passes c, as the chain would run it."""
+    return check_rule(name, c).verdict is Verdict.PASS
 
 
 def brute_order(q, m):
@@ -155,15 +154,15 @@ def test_divides_sigma_matches_direct_division():
 
 
 def test_eq1_examples():
-    assert not eq1_check(candidate(1, q=7))
-    assert not eq1_check(Candidate(a=1))
+    assert not passes("eq1", candidate(1, q=7))
+    assert not passes("eq1", Candidate(a=1))
     # direct numbers: 31 * 57 != 9 * 5 * 49
     assert sigma_prime_power(5, 2) * sigma_prime_power(7, 2) == 1767 != 2205
 
 
 def test_eq1_equivalent_to_index_nine_fifths():
     for c in enumerate_structured(10 ** 6):
-        assert eq1_check(c) == (abundancy_index(c.value) == TARGET_INDEX)
+        assert passes("eq1", c) == (abundancy_index(c.value) == TARGET_INDEX)
 
 
 # --- exact divisibility by nine --------------------------------------------------
@@ -171,22 +170,22 @@ def test_eq1_equivalent_to_index_nine_fifths():
 
 def test_nine_exact_examples():
     # the all-ones pattern over 7, 31, 331 stacks three 3s onto sigma(F)
-    assert not nine_exact_divisibility(candidate(1, q=7 * 31 * 331))
-    assert not nine_exact_divisibility(candidate(1, q=7))  # sigma(F) = 1767, 9 does not divide
-    assert not nine_exact_divisibility(Candidate(a=2, q_factorization=Factorization(((7, 2),))))
-    assert nine_exact_divisibility(candidate(1, q=7 * 13))  # sigma(F) = 31*57*183
+    assert not passes("nine_exact", candidate(1, q=7 * 31 * 331))
+    assert not passes("nine_exact", candidate(1, q=7))  # sigma(F) = 1767, 9 does not divide
+    assert not passes("nine_exact", Candidate(a=2, q_factorization=Factorization(((7, 2),))))
+    assert passes("nine_exact", candidate(1, q=7 * 13))  # sigma(F) = 31*57*183
 
 
 def test_nine_exact_matches_full_sigma():
     for c in enumerate_structured(10 ** 5):
         s = sigma(factorize(c.value))
-        assert nine_exact_divisibility(c) == (s % 9 == 0 and s % 27 != 0), c.label
+        assert passes("nine_exact", c) == (s % 9 == 0 and s % 27 != 0), c.label
 
 
 def test_nine_exact_handles_huge_exponents():
     # mod-27 reduction must not materialize sigma(5^(2a)) for astronomical a
     c = Candidate(a=10 ** 12 + 13, q_factorization=Factorization(((7, 10 ** 12),)))
-    assert nine_exact_divisibility(c) in (True, False)
+    assert passes("nine_exact", c) in (True, False)
 
 
 def test_geom_sum_mod_matches_direct_sum():
@@ -205,22 +204,22 @@ def test_geom_sum_mod_matches_direct_sum():
 
 
 def test_exponent_mod3_examples():
-    assert exponent_filter_mod3(candidate(1, exponents=(1,) * 6)).verdict is Verdict.REJECT
-    assert exponent_filter_mod3(candidate(1, exponents=(4, 7, 13, 1, 1, 1))).verdict is Verdict.REJECT
-    assert exponent_filter_mod3(candidate(2, exponents=(1,) * 6)).verdict is Verdict.PASS
+    assert check_rule("exponent_mod3", candidate(1, exponents=(1,) * 6)).verdict is Verdict.REJECT
+    assert check_rule("exponent_mod3", candidate(1, exponents=(4, 7, 13, 1, 1, 1))).verdict is Verdict.REJECT
+    assert check_rule("exponent_mod3", candidate(2, exponents=(1,) * 6)).verdict is Verdict.PASS
 
 
 def test_exponent_mod27_examples():
-    assert exponent_filter_mod27(candidate(13, exponents=(13,) * 6)).verdict is Verdict.REJECT
-    assert exponent_filter_mod27(candidate(13, exponents=(40, 67, 13, 13, 13, 13))).verdict is Verdict.REJECT
-    assert exponent_filter_mod27(candidate(1, exponents=(13,) * 6)).verdict is Verdict.PASS
+    assert check_rule("exponent_mod27", candidate(13, exponents=(13,) * 6)).verdict is Verdict.REJECT
+    assert check_rule("exponent_mod27", candidate(13, exponents=(40, 67, 13, 13, 13, 13))).verdict is Verdict.REJECT
+    assert check_rule("exponent_mod27", candidate(1, exponents=(13,) * 6)).verdict is Verdict.PASS
 
 
 def test_mod27_never_rejects_what_mod3_passes():
     for exps in product((1, 2, 3, 13, 14, 40), repeat=3):
         c = candidate(exps[0], exponents=exps[1:])
-        if exponent_filter_mod3(c).verdict is Verdict.PASS:
-            assert exponent_filter_mod27(c).verdict is Verdict.PASS, exps
+        if check_rule("exponent_mod3", c).verdict is Verdict.PASS:
+            assert check_rule("exponent_mod27", c).verdict is Verdict.PASS, exps
 
 
 # --- mod-8 sum rule ----------------------------------------------------------------
@@ -228,16 +227,16 @@ def test_mod27_never_rejects_what_mod3_passes():
 
 def test_congruence_sum_examples():
     # sigma(17^2) = 307 ≡ 3 (mod 8): hypothesis 7 * 3 ≡ 5 holds, sum ≡ 2, a odd
-    assert congruence_sum_check(candidate(1, q=17)).verdict is Verdict.PASS
+    assert check_rule("mod8_sum", candidate(1, q=17)).verdict is Verdict.PASS
     # sigma(7^2) = 57 ≡ 1 (mod 8): 5 * 1 ≡ 5 holds, sum ≡ 6, a even
-    assert congruence_sum_check(candidate(2, q=7)).verdict is Verdict.PASS
+    assert check_rule("mod8_sum", candidate(2, q=7)).verdict is Verdict.PASS
     # 7 * 1 ≡ 7 (mod 8): hypothesis fails, rule abstains
-    assert congruence_sum_check(candidate(1, q=7)).verdict is Verdict.NOT_APPLICABLE
+    assert check_rule("mod8_sum", candidate(1, q=7)).verdict is Verdict.NOT_APPLICABLE
 
 
 def test_congruence_sum_never_rejects_under_hypothesis():
     for c in enumerate_structured(3 * 10 ** 5):
-        outcome = congruence_sum_check(c)
+        outcome = check_rule("mod8_sum", c)
         assert outcome.verdict is not Verdict.REJECT
         s5 = sigma_prime_power(5, 2 * c.a)
         sq = sigma(factorize(c.q ** 2))
@@ -327,17 +326,12 @@ def test_residue_class_validation():
 
 
 def test_prime_support_examples():
-    assert prime_support_filter([5]).verdict is Verdict.REJECT
-    seven_smallest = [5, 7, 11, 13, 17, 19, 23]
-    assert prime_support_filter(seven_smallest).verdict is Verdict.PASS
+    assert check_rule("prime_support", Candidate(a=1)).verdict is Verdict.REJECT
+    seven_smallest = candidate(1, q=7 * 11 * 13 * 17 * 19 * 23)
+    assert check_rule("prime_support", seven_smallest).verdict is Verdict.PASS
     assert Fraction(676039, 331776) > TARGET_INDEX  # the exact ceiling product
-    big_support = [5, 97, 101, 103, 107, 109, 113]
-    assert prime_support_filter(big_support).verdict is Verdict.REJECT
-
-
-def test_prime_support_requires_5():
-    with pytest.raises(ValueError):
-        prime_support_filter([7, 11])
+    big_support = candidate(1, q=97 * 101 * 103 * 107 * 109 * 113)
+    assert check_rule("prime_support", big_support).verdict is Verdict.REJECT
 
 
 def test_prime_support_rule_trusts_the_candidates_primes(monkeypatch):
@@ -352,27 +346,40 @@ def test_prime_support_rule_trusts_the_candidates_primes(monkeypatch):
     ]
     rule = [filter_chain(c).results[1] for c in candidates]
     assert calls == []
-    assert rule == [prime_support_filter(c.primes) for c in candidates]
+    assert rule == [check_rule("prime_support", c) for c in candidates]
     assert [r.verdict for r in rule] == [Verdict.PASS, Verdict.REJECT, Verdict.PASS, Verdict.PASS]
+    # The ceiling each detail names is the validated one, prod p/(p-1).
+    for r, c in zip(rule, candidates):
+        assert f"index ceiling {abundancy.index_upper_bound(c.primes)} " in r.detail
 
 
-# --- structural precheck --------------------------------------------------------------
+# --- structural rule -----------------------------------------------------------------
 
 
 def test_structural_examples():
-    assert structural_precheck(10).verdict is Verdict.REJECT
-    assert "even" in structural_precheck(10).detail
-    assert structural_precheck(5425).verdict is Verdict.REJECT
-    assert "square" in structural_precheck(5425).detail
-    ok = structural_precheck((5 * 7 * 11 * 13 * 17 * 19 * 23) ** 2)
+    # A Candidate is an odd square with 5 | F and 3 not dividing F by
+    # construction (test_candidate_validation), so only omega can fail.
+    assert check_rule("structural", Candidate(a=1)).verdict is Verdict.REJECT
+    assert "omega = 1 < 7" in check_rule("structural", Candidate(a=1)).detail
+    assert check_rule("structural", candidate(1, q=7 * 11 * 13 * 17 * 19)).verdict is Verdict.REJECT
+    ok = check_rule("structural", candidate(1, q=7 * 11 * 13 * 17 * 19 * 23))
     assert ok.verdict is Verdict.PASS
+    assert ok.detail == "odd square by construction, omega = 7"
 
 
-def test_structural_clause_order():
-    assert "square" in structural_precheck(15).detail
-    assert "5 does not divide" in structural_precheck(49 ** 2).detail
-    assert "3 divides" in structural_precheck((3 * 5 * 7) ** 2).detail
-    assert "omega" in structural_precheck(25).detail
+# --- one rule by name -----------------------------------------------------------------
+
+
+def test_check_rule_is_the_chains_step():
+    for c in enumerate_structured(10 ** 6):
+        for r in filter_chain(c).results:
+            if r.detail != "skipped after earlier rejection":
+                assert check_rule(r.rule, c) == r, (c.label, r.rule)
+
+
+def test_check_rule_refuses_an_unknown_name():
+    with pytest.raises(KeyError, match="mod9"):
+        check_rule("mod9", Candidate(a=1))
 
 
 # --- the chain ------------------------------------------------------------------------

@@ -708,6 +708,38 @@ def test_resume_refuses_a_record_that_disagrees_with_its_segment(tmp_path, field
     assert (path.read_bytes(), records.read_bytes()) == before
 
 
+@pytest.mark.parametrize(
+    "edits, reason",
+    [
+        ({"hits": ["10", "10"]}, "hits [10, 10] are not strictly ascending"),
+        ({"hits": ["11"]}, "hit 11 does not have index 9/5"),
+        ({"checksum": "-1"}, "checksum -1 lies outside [0, 2^64)"),
+        ({"checksum": str(1 << 64)}, f"checksum {1 << 64} lies outside [0, 2^64)"),
+        # A segment past the sieve is refused before its hit is factored.
+        (
+            {"lo": str(1 << 128), "hi": str((1 << 128) + 1000), "hits": [str((1 << 128) + 1)]},
+            "would overflow the sieve",
+        ),
+    ],
+    ids=["repeated-hit", "not-a-hit", "negative-checksum", "checksum-2^64", "past-the-sieve"],
+)
+def test_resume_refuses_a_record_that_contradicts_its_index(tmp_path, edits, reason):
+    path = tmp_path / "scan.checkpoint"
+    records = tmp_path / "scan.checkpoint.records"
+    scan(4000, Fraction(9, 5), segment_size=1000, checkpoint_path=path, max_segments=3)
+    lines = records.read_bytes().splitlines(keepends=True)
+    doc = json.loads(lines[0])
+    assert (doc["lo"], doc["hi"], doc["hits"]) == ("1", "1001", ["10"])
+    doc.update(edits)
+    lines[0] = json.dumps(doc).encode("utf-8") + b"\n"
+    records.write_bytes(b"".join(lines))
+    before = path.read_bytes(), records.read_bytes()
+    with pytest.raises(CheckpointCorruptError, match=re.escape(reason)) as info:
+        scan(4000, Fraction(9, 5), segment_size=1000, checkpoint_path=path)
+    assert info.value.offset == 0
+    assert (path.read_bytes(), records.read_bytes()) == before
+
+
 @pytest.mark.parametrize("other_seg, other_target", [(50, Fraction(2)), (100, Fraction(9, 5))])
 def test_resume_refuses_records_of_another_scan(tmp_path, other_seg, other_target):
     path = tmp_path / "scan.checkpoint"
