@@ -40,26 +40,33 @@ _DOMAIN_ERRORS = (
 )
 
 
-# Largest base^exp accepted, in bits: about the size of the longest decimal
-# (4300 digits) that int() parses by default.
-_MAX_POWER_BITS = 1 << 14
+# Every number a command prints must fit the 4300 digits that str(int)
+# writes by default. Below 2^14000, sigma(n) <= n H_n < n (1 + ln n) <
+# 2^14014 < 10^4219, so a number, a Q or a divisor sum within this cap prints.
+_MAX_BITS = 14_000
+# The largest --a whose residue class prints: derive's modulus
+# 8 sigma(5^(2a)) 5^(2a) has 4299 digits at a = 1537 and 4301 at 1538.
+_MAX_A = 1537
 
 
 def parse_natural(text: str) -> int:
-    """Decimal natural number; underscores and a base^exp form are accepted."""
+    """Decimal natural number below 2^_MAX_BITS; underscores and a base^exp form are accepted."""
     raw = text.strip().replace("_", "")
     if "^" in raw:
         base_text, _, exp_text = raw.partition("^")
         base, exp = int(base_text), int(exp_text)
         if base < 0 or exp < 0:
             raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
-        if exp * base.bit_length() > _MAX_POWER_BITS:
-            raise argparse.ArgumentTypeError(f"{text!r} is too large: more than {_MAX_POWER_BITS} bits")
+        # base^exp >= 2^(exp (bits(base) - 1)): refused before a power that large is formed.
+        if exp * (base.bit_length() - 1) > _MAX_BITS:
+            raise argparse.ArgumentTypeError(f"{text!r} is too large: more than {_MAX_BITS} bits")
         value = base ** exp
     else:
         value = int(raw)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
+    if value.bit_length() > _MAX_BITS:
+        raise argparse.ArgumentTypeError(f"{text!r} is too large: more than {_MAX_BITS} bits")
     return value
 
 
@@ -68,6 +75,16 @@ def parse_positive(text: str) -> int:
     value = parse_natural(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def parse_half_exponent(text: str) -> int:
+    """The half-exponent a of 5, from 1 to _MAX_A."""
+    value = parse_positive(text)
+    if value > _MAX_A:
+        raise argparse.ArgumentTypeError(
+            f"at most {_MAX_A}, got {text!r}: a larger a's residue class has more than 4300 digits"
+        )
     return value
 
 
@@ -94,7 +111,8 @@ def parse_index(text: str) -> Fraction:
 
 
 def parse_q_factors(text: str) -> Factorization:
-    """Comma-separated prime powers: ``7^2,11,13^1`` (empty means Q = 1)."""
+    """Comma-separated prime powers: ``7^2,11,13^1`` (empty means Q = 1),
+    with Q below 2^_MAX_BITS."""
     text = text.strip()
     if not text:
         return Factorization(())
@@ -102,10 +120,17 @@ def parse_q_factors(text: str) -> Factorization:
     for chunk in text.split(","):
         prime, sep, exp = chunk.strip().partition("^")
         pairs.append((int(prime), int(exp) if sep else 1))
+    too_large = argparse.ArgumentTypeError(f"Q is too large: more than {_MAX_BITS} bits in {text!r}")
+    # Q >= 2^(e (bits(p) - 1)) over its p^e: refused before a primality test or a power that large.
+    if sum(e * (p.bit_length() - 1) for p, e in pairs if e > 0) > _MAX_BITS:
+        raise too_large
     try:
-        return Factorization(tuple(sorted(pairs)))
+        q = Factorization(tuple(sorted(pairs)))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{exc} in {text!r}") from exc
+    if q.value.bit_length() > _MAX_BITS:
+        raise too_large
+    return q
 
 
 def _option(parser: argparse.ArgumentParser, flag: str, *, required: bool = False, **kwargs) -> None:
@@ -311,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, _cmd_solitary)
 
     p = sub.add_parser("check", help="run the filter chain on a structured candidate")
-    _option(p, "--a", type=parse_positive, required=True, help="half-exponent of 5")
+    _option(p, "--a", type=parse_half_exponent, required=True, help="half-exponent of 5")
     _option(p, "--q-factors", type=parse_q_factors, default=Factorization(()),
             help="factorization of Q as P1^E1,P2^E2,... (empty for Q = 1)")
     common(p, _cmd_check)
 
     p = sub.add_parser("derive", help="residue class every friend of 10 with this a must hit")
-    _option(p, "--a", type=parse_positive, required=True)
+    _option(p, "--a", type=parse_half_exponent, required=True)
     common(p, _cmd_derive)
 
     p = sub.add_parser("scan", help="exhaustive index scan of [1, bound)")

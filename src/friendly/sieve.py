@@ -4,21 +4,27 @@ A segmented prime-power sieve, in blocks of _BLOCK values that stay in
 cache. At each multiple n of a prime p <= sqrt(hi - 1), with p^e the largest
 power of p dividing n, sigma(p^e) becomes a factor of ``sig`` and p^e leaves
 ``rest``, which starts at n; what is left, 1 or the prime factor of n above
-sqrt(n), contributes itself + 1. ``rest`` loses 2 by right shifts and an odd
-p by multiplications by p^-1 mod 2^64 (T. Jebelean, J. Symbolic Comput. 15
-(1993)): it is an exact quotient, never above n, so its wrapped uint64
-product is exact and no division is needed.
+sqrt(n), contributes itself + 1.
 
 Each block starts from repeated tables for 2, 3 and 5 to low powers (a
-wheel). Every other prime p puts in p + 1 and takes out p at each multiple:
-by strides if dense, by unbuffered scatters in chunks if below the block
+wheel), which shift 2^min(e, 5) out of ``rest``. Past the wheel, 2 is one
+step: at each multiple of 2^6, what is left of 2 in ``rest`` is its lowest
+set bit, 2^(e-5), so one exact division takes it out and sigma(2^e) =
+2^(e+1) - 1 replaces sigma(2^5). Every odd p leaves ``rest`` by
+multiplications by p^-1 mod 2^64 (T. Jebelean, J. Symbolic Comput. 15
+(1993)): ``rest`` is an exact quotient, never above n, so its wrapped uint64
+product is exact and no division is needed.
+
+Every other prime p puts in p + 1 and takes out p at each multiple: by
+strides if dense, by unbuffered scatters in chunks if below the block
 length, else by the offset of its next multiple (as in T. Oliveira e Silva,
-S. Herzog and S. Pardi, Math. Comp. 83 (2014)). A dense higher power p^j
-then swaps sigma(p^(j-1)) for sigma(p^j) by strides, an exact division and a
-multiplication. A table made once per segment holds, for each multiple m of
-p's first sparse power p^s, the swap from sigma(p^(s-1)) to sigma(p^e),
-e = v_p(m), and the p^(e-s+1) to take out. ``sig`` is int64 with a headroom
-guard, so results are exact, never floating point.
+S. Herzog and S. Pardi, Math. Comp. 83 (2014)). A dense higher power p^j of
+an odd p then swaps sigma(p^(j-1)) for sigma(p^j) by strides, an exact
+division and a multiplication. One table made once per segment holds, for
+each multiple m of an odd p's first sparse power p^s, the swap from
+sigma(p^(s-1)) to sigma(p^e), e = v_p(m), and the inverse of p^(e-s+1) to
+take out. ``sig`` is int64 with a headroom guard, so results are exact, never
+floating point.
 
 A call holds block scratch and O(pi(sqrt(hi))) per-prime state whatever the
 width. The base primes are sieved once per process, for the highest segment
@@ -78,26 +84,33 @@ def sigma_range(lo: int, hi: int, visit: Callable[[int, np.ndarray], None]) -> N
     check_height(hi)
     size = hi - lo
     block = min(size, _BLOCK)
-    strided, scattered, ahead_p, ahead, tables = _plan(lo, hi, block)
+    strided, scattered, ahead_p, ahead, table = _plan(lo, hi, block)
     sig = np.empty(block, dtype=np.int64)
     wheel_shift, wheel_inverse, wheel_sig = _wheel()
+    two = 2 << _WHEEL_POWERS[0][1]  # 2^6, the first power of 2 past the wheel
     for start in range(0, size, block):
         stop = min(start + block, size)
         at = lo + start
         part = sig[: stop - start]
         rest = np.arange(at, lo + stop, dtype=np.uint64)
         scratch = part.view(np.uint64)  # the wheel's shift and inverse pass through sig
-        for remove, table in ((np.right_shift, wheel_shift), (np.multiply, wheel_inverse)):
-            _tile(scratch, table, at)
-            remove(rest, scratch, out=rest)
+        _tile(scratch, wheel_shift, at)
+        np.right_shift(rest, scratch, out=rest)
+        _tile(scratch, wheel_inverse, at)
+        rest *= scratch
         _tile(part, wheel_sig, at)
-        for q, old, new, remove, factor in strided:
+        view = rest[-at % two :: two]
+        low = view & -view  # the lowest set bit: 2^(e-5), what the wheel left of n's 2^e
+        view //= low
+        view = part[-at % two :: two]
+        view //= two - 1  # sigma(2^5), exact as below
+        view *= (low * two - 1).view(np.int64)  # sigma(2^e)
+        for q, old, new, inverse in strided:
             view = part[-at % q :: q]
             if old > 1:
                 view //= old  # exact, since sigma(p^(j-1)) is a factor of each value
             view *= new
-            view = rest[-at % q :: q]
-            remove(view, factor, out=view)
+            rest[-at % q :: q] *= inverse
         for p, inverse in scattered:
             _scatter(part, rest, at, p, inverse)
         hit = np.flatnonzero(ahead < stop)
@@ -105,12 +118,12 @@ def sigma_range(lo: int, hi: int, visit: Callable[[int, np.ndarray], None]) -> N
         ahead[hit] += p
         np.multiply.at(part, where, p + 1)
         np.multiply.at(rest, where, _inverses(p))  # per block: held for every p, they set peak memory
-        for pos, old, new, remove, factor in tables:
-            a, b = np.searchsorted(pos, (start, stop)).tolist()
-            where = pos[a:b] - start
-            np.floor_divide.at(part, where, old[a:b])  # exact, as above
-            np.multiply.at(part, where, new[a:b])
-            remove.at(rest, where, factor[a:b])
+        pos, old, new, inverse = table
+        a, b = np.searchsorted(pos, (start, stop)).tolist()
+        where = pos[a:b] - start
+        np.floor_divide.at(part, where, old[a:b])  # exact, as above
+        np.multiply.at(part, where, new[a:b])
+        np.multiply.at(rest, where, inverse[a:b])
         rest += rest != 1  # rest is 1 or a prime
         part *= rest.view(np.int64)
         visit(at, part)
@@ -203,31 +216,23 @@ def _inverses(p: np.ndarray) -> np.ndarray:
 
 
 def _plan(lo: int, hi: int, block: int) -> tuple:
-    """The powers q = p^j to stride, as (q, sigma(q/p), sigma(q), remove,
-    factor), remove(rest, factor) taking out p; chunks of primes and p^-1
-    mod 2^64 to scatter; primes >= block with the offset of their next
-    multiple; and _table's of sparse powers for 2 and for odd p."""
+    """The powers q = p^j of odd p to stride, as (q, sigma(q/p), sigma(q),
+    p^-1 mod 2^64); chunks of primes and p^-1 mod 2^64 to scatter; primes
+    >= block with the offset of their next multiple; and the _table of the
+    odd primes' sparse powers. 2 past the wheel is the block loop's own step,
+    so no entry holds 2."""
     size, top, thin = hi - lo, hi - 1, block // _STRIDED_MULTIPLES  # a power below thin is dense
     primes = _base_primes(math.isqrt(top))
     # Only the wheel's primes and those whose square is dense have a dense power.
     few = max(len(_WHEEL_POWERS), int(np.searchsorted(primes, math.isqrt(max(thin - 1, 0)) + 1)))
     dense, seeds = [], []
-    for p in primes[:few].tolist():
+    for p in primes[1:few].tolist():  # primes[0] is 2, the block loop's own step
         q = p ** (dict(_WHEEL_POWERS).get(p, 1) + 1)
-        old = (q - 1) // (p - 1)
-        remove, factor = (np.right_shift, np.uint64(1)) if p == 2 else (np.multiply, np.uint64(pow(p, -1, 1 << 64)))
+        old, inverse = (q - 1) // (p - 1), np.uint64(pow(p, -1, 1 << 64))
         while q < thin and q <= top:
-            dense.append((q, old, old + q, remove, factor))
+            dense.append((q, old, old + q, inverse))
             old, q = old + q, q * p
         seeds.append((p, q, old, -lo % q))  # _table drops a q with no multiple
-    p = primes[few:]
-    first = p * p
-    np.remainder(-lo, first, out=first)  # in place: it is as long as the base primes
-    live = np.flatnonzero(first < size)
-    p, first = p[live], first[live]
-    small = np.array(seeds, dtype=np.int64).reshape(-1, 4)  # 2's row first, if primes holds 2
-    odd = [np.concatenate(pair) for pair in zip(small[1:].T, (p, p * p, p + 1, first))]
-    tables = [_table(lo, size, *small[:1].T, np.right_shift), _table(lo, size, *odd, np.multiply)]
     # The wheel's primes are the first ones; the wheel holds their first powers.
     p = primes[len(_WHEEL_POWERS) :]
     cut, end = np.searchsorted(p, (thin, block)).tolist()
@@ -237,19 +242,29 @@ def _plan(lo: int, hi: int, block: int) -> tuple:
     if len(live) < len(ahead):
         ahead = ahead[live]
         p = np.concatenate((p[:end], p[end:][live]))
+    # The primes from few on enter the table at their squares. p^2 divides m
+    # only where p does, so only the primes kept need an offset.
+    square = p[few - len(_WHEEL_POWERS) :]
+    first = square * square
+    np.remainder(-lo, first, out=first)  # in place: it is as long as the primes kept
+    live = np.flatnonzero(first < size)
+    square, first = square[live], first[live]
+    columns = zip(np.array(seeds, dtype=np.int64).reshape(-1, 4).T, (square, square * square, square + 1, first))
+    table = _table(lo, size, *(np.concatenate(pair) for pair in columns))
     inverse = _inverses(p[:end])
     # Chunks of at most about _SCATTER_ENTRIES entries in any block.
     ends = np.cumsum(block // p[cut:end] + 1).tolist()
     starts = [cut + bisect.bisect_left(ends, e) for e in range(0, ends[-1] if ends else 0, _SCATTER_ENTRIES)]
     scattered = [(p[a:b], inverse[a:b]) for a, b in zip(starts, starts[1:] + [end])]
-    strided = [(q, 1, q + 1, np.multiply, x) for q, x in zip(p[:cut].tolist(), inverse[:cut])]
-    return strided + dense, scattered, p[end:], ahead, tables
+    strided = [(q, 1, q + 1, x) for q, x in zip(p[:cut].tolist(), inverse[:cut])]
+    return strided + dense, scattered, p[end:], ahead, table
 
 
-def _table(lo: int, size: int, p: np.ndarray, q: np.ndarray, old: np.ndarray, first: np.ndarray, remove) -> tuple:
-    """For each multiple m = lo + pos < lo + size of each q = p^s, the first
-    at offset first, sorted by pos: pos, old = sigma(p^(s-1)), sigma(p^e) for
-    e = v_p(m), and remove with its factor that takes p^(e-s+1) out of rest."""
+def _table(lo: int, size: int, p: np.ndarray, q: np.ndarray, old: np.ndarray, first: np.ndarray) -> tuple:
+    """For each multiple m = lo + pos < lo + size of each q = p^s, p odd, the
+    first at offset first, sorted by pos: pos, old = sigma(p^(s-1)),
+    sigma(p^e) for e = v_p(m), and p^-(e-s+1) mod 2^64, whose product takes
+    the rest of p^e out of ``rest``."""
     counts = (size - 1 - first) // q + 1  # 0 if first >= size, since first < q
     seed = np.repeat(np.arange(len(q)), counts)  # each entry's power
     # The entry k is the i-th multiple of its q, i = k - (entries of earlier powers).
@@ -265,8 +280,7 @@ def _table(lo: int, size: int, p: np.ndarray, q: np.ndarray, old: np.ndarray, fi
         new[more] += step[more]
         count[more] += 1
         more = more[rest[more] % p[more] == 0]
-    factor = count.view(np.uint64) if remove is np.right_shift else _inverses(p ** count)
-    return pos, old, new, remove, factor
+    return pos, old, new, _inverses(p ** count)
 
 
 def _scatter(sig: np.ndarray, rest: np.ndarray, at: int, p: np.ndarray, inverse: np.ndarray) -> None:

@@ -381,6 +381,50 @@ def test_usage_error_keeps_the_parsers_reason(run_cli, args, flag, value, reason
         assert "Traceback" not in result.stderr
 
 
+# Inputs whose output str(int) could not write: each is refused before any work.
+_PAST_THE_CAPS = [
+    (("sigma",), None, "65535^1000", "'65535^1000' is too large: more than 14000 bits"),
+    (("index",), None, "65535^1000", "'65535^1000' is too large: more than 14000 bits"),
+    (("sigma",), None, "9" * 4300, "is too large: more than 14000 bits"),
+    (("friends", "6"), "--bound", "65535^1000", "'65535^1000' is too large: more than 14000 bits"),
+    (("derive",), "--a", "1538", "at most 1537, got '1538'"),
+    (("derive",), "--a", "10000000", "at most 1537, got '10000000'"),
+    (("check", "--q-factors", "7,11,13,17,19,23"), "--a", "2000", "at most 1537, got '2000'"),
+    (("check", "--a", "1"), "--q-factors", "7^10800002,11,13,17,19,23",
+     "Q is too large: more than 14000 bits in '7^10800002,11,13,17,19,23'"),
+    (("check", "--a", "1"), "--q-factors", "7^4987", "Q is too large: more than 14000 bits in '7^4987'"),
+]
+
+
+@pytest.mark.parametrize("args, flag, value, reason", _PAST_THE_CAPS)
+def test_inputs_past_the_caps_are_usage_errors(run_cli, args, flag, value, reason):
+    if flag is None:
+        runs = [run_cli(*args, value, timeout=10)]
+        where = "argument n"
+    else:
+        name = "FRIENDLY_" + flag[2:].replace("-", "_").upper()
+        runs = [run_cli(*args, flag, value, timeout=10), run_cli(*args, env={name: value}, timeout=10)]
+        where = f"argument {flag}"
+    for result in runs:
+        assert result.returncode == 2, result.stderr
+        assert where in result.stderr and reason in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_the_largest_accepted_inputs_print(run_cli):
+    n = 2 ** 13999  # 14000 bits
+    assert run_cli("sigma", "2^13999").stdout == f"sigma({n}) = {2 * n - 1}\n"
+    assert run_cli("index", "2^13999").stdout == f"I({n}) = {2 * n - 1}/{n}\n"
+    rc = derive_residue_class(1537)
+    assert run_cli("derive", "--a", "1537").stdout == f"residue: {rc.residue}\nmodulus: {rc.modulus}\n"
+    assert (7 ** 4986).bit_length() == 13998  # the largest power of 7 within the cap
+    for a, q_factors in (("1537", "7,11,13,17,19,23"), ("1", "7^4986")):
+        result = run_cli("check", "--a", a, "--q-factors", q_factors)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith(f"candidate: 5^{2 * int(a)} * 7^")
+        assert "overall: RejectedBy(" in result.stdout
+
+
 # --- environment variable fallbacks -------------------------------------------------
 
 
@@ -474,8 +518,10 @@ def test_parse_natural_forms():
     assert parse_natural("10000000") == 10 ** 7
     assert parse_natural("10^7") == 10 ** 7
     assert parse_natural("1_000") == 1000
-    assert parse_natural("2^8192") == 2 ** 8192  # 2 * 8192 bits by the estimate: the limit
-    for text in ("0^-1", "2^-1", "-2^2", "2^8193", "10^1000000000000"):
+    assert parse_natural("2^8192") == 2 ** 8192
+    assert parse_natural("2^13999") == 2 ** 13999  # 14000 bits: the cap
+    assert parse_natural("9" * 4214) == int("9" * 4214)  # 13999 bits
+    for text in ("0^-1", "2^-1", "-2^2", "2^14000", "65535^1000", "9" * 4215, "10^1000000000000"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_natural(text)
 

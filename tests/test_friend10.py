@@ -315,6 +315,44 @@ def test_derive_structure_properties():
         assert math.gcd(s5, 45) == 1
 
 
+# The residue_class detail of each candidate of test_chain_first_reject_is_the_named_rule,
+# and of one whose F has about 60 million bits, as pinned from F % modulus.
+_RESIDUE_DETAILS = [
+    (1, ((7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1)), "reject", "F ≡ 3225, friends with a = 1 need ≡ 5425 (mod 6200)"),
+    (1, ((7, 1),), "reject", "F ≡ 1225, friends with a = 1 need ≡ 5425 (mod 6200)"),
+    (1, ((97, 1), (101, 1), (103, 1), (107, 1), (109, 1), (113, 1)), "reject", "F ≡ 625, friends with a = 1 need ≡ 5425 (mod 6200)"),
+    (2, ((7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1)), "reject", "F ≡ 955625, friends with a = 2 need ≡ 2440625 (mod 3905000)"),
+    (2, ((7, 1), (11, 1), (13, 1), (17, 1), (23, 1), (29, 1)), "reject", "F ≡ 3210625, friends with a = 2 need ≡ 2440625 (mod 3905000)"),
+    (2, ((7, 1), (11, 1), (13, 1), (17, 1), (23, 1), (71, 1)), "pass", "F ≡ 2440625 (mod 3905000)"),
+    (1, ((7, 10800002), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1)), "reject", "F ≡ 3025, friends with a = 1 need ≡ 5425 (mod 6200)"),
+]
+
+
+@pytest.mark.parametrize("a, pairs, verdict, detail", _RESIDUE_DETAILS)
+def test_residue_class_never_builds_f(monkeypatch, a, pairs, verdict, detail):
+    def no_value(self):
+        raise AssertionError("F was built")
+
+    monkeypatch.setattr(Candidate, "value", property(no_value))
+    result = check_rule("residue_class", Candidate(a=a, q_factorization=Factorization(pairs)))
+    assert (result.verdict.value, result.detail) == (verdict, detail)
+
+
+def test_residue_class_matches_f_mod_the_modulus():
+    for a, exponents in product(range(1, 5), product(range(3), repeat=4)):
+        pairs = tuple((p, e) for p, e in zip((7, 11, 13, 17), exponents) if e)
+        c = Candidate(a=a, q_factorization=Factorization(pairs))
+        rc = derive_residue_class(a)
+        f = c.value % rc.modulus
+        want = (
+            (Verdict.PASS, f"F ≡ {f} (mod {rc.modulus})")
+            if f == rc.residue
+            else (Verdict.REJECT, f"F ≡ {f}, friends with a = {a} need ≡ {rc.residue} (mod {rc.modulus})")
+        )
+        result = check_rule("residue_class", c)
+        assert (result.verdict, result.detail) == want, c.label
+
+
 def test_residue_class_validation():
     with pytest.raises(ValueError):
         ResidueClass(residue=5, modulus=5)

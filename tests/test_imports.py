@@ -1,5 +1,6 @@
 """The import graph: one path per name, and an exact layer without numpy."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -58,5 +59,30 @@ def test_cli_import_loads_no_process_pool():
         "import friendly.cli\n"
         "loaded = [m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_binds_every_name_the_tracer_wraps():
+    # perfbench/tracer.py swaps each (module, attribute) of SPANS and COUNTS
+    # for a wrapper after importing the CLI, and perfbench/rep.py reads
+    # friendly.sieve.np. The tracer is read, not imported: it imports the
+    # benchmark's own modules.
+    tracer = SRC.parent / "perfbench" / "tracer.py"
+    tables = {
+        target.id: ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("SPANS", "COUNTS")
+    }
+    wrapped = sorted({entry[:2] for entry in tables["SPANS"] + tables["COUNTS"]} | {("friendly.sieve", "np")})
+    assert len(wrapped) > 10, wrapped
+    result = run_python(
+        "import sys\n"
+        "import friendly.cli\n"
+        f"wrapped = {wrapped!r}\n"
+        "missing = [(m, a) for m, a in wrapped if not hasattr(sys.modules.get(m), a)]\n"
+        "assert not missing, missing\n"
     )
     assert result.returncode == 0, result.stderr

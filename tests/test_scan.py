@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from friendly import sieve
-from friendly.arith import factorize, sigma
+from friendly.arith import factorize, is_prime, sigma
 from friendly.friend10 import enumerate_structured
 from friendly.scan import (
     CHECKPOINT_VERSION,
@@ -151,8 +151,9 @@ def test_sigma_range_prime_power_at_a_block_edge(q, edge):
         assert int(values[n - lo]) == sigma(factorize(n)), n
 
 
-# The wheel holds p^k of each (p, k); every higher power below the sieve's
-# limit goes by strides (2^6..2^9, 3^4..3^6, 5^3, 5^4) or through the table.
+# The wheel holds p^k of each (p, k). Every higher power below the sieve's
+# limit goes, for 2, by the block loop's one step at each multiple of 2^6,
+# and for 3 and 5 by strides (3^4..3^6, 5^3, 5^4) or through the table.
 @pytest.mark.parametrize("p, k", sieve._WHEEL_POWERS)
 def test_sigma_range_wheel_prime_powers_at_a_block_edge(p, k):
     j = k + 1
@@ -166,6 +167,26 @@ def test_sigma_range_wheel_prime_powers_at_a_block_edge(p, k):
         for n in range(m - 16, m + 16):
             assert int(values[n - lo]) == sigma(factorize(n)), (p, j, n)
         j += 1
+
+
+# 2 past the wheel is one step at each multiple of 2^6. Each n = 2^v r it
+# can reach, for r = 1, for r = 105 = 3 * 5 * 7 and for a prime r above
+# sqrt(hi), which stays in rest, opens a block and closes one.
+@pytest.mark.parametrize("v", range(6, 51))
+def test_sigma_range_powers_of_two_past_the_wheel_at_block_edges(v):
+    r = 2 ** v + 65  # then r^2 > 2^v r + 64 r >= hi
+    while not is_prime(r):
+        r += 2
+    for n in (2 ** v * m for m in (1, 105, r) if 2 ** v * m <= 1 << 50):
+        hi = min(n + 64, (1 << 50) + 1)
+        # n opens the second block, or closes the first; below that, n opens
+        # or closes the segment's one block.
+        segments = [(n - BLOCK, hi), (n - BLOCK + 1, hi)] if n > BLOCK else [(n, hi), (1, n + 1)]
+        for lo, hi in segments:
+            values = sieved(lo, hi)
+            for m in (n - 64, n - 1, n, n + 1):
+                if lo <= m < hi:
+                    assert int(values[m - lo]) == sigma(factorize(m)), (v, n, lo, m)
 
 
 @pytest.mark.parametrize("lo", [1, 10 ** 9 + 3])
@@ -239,8 +260,8 @@ def test_sieve_agrees_with_factorization_path():
         (1031 ** 3 - 300, 1031 ** 3 + 300),
         # Several swaps on one value: two table entries in each of the first
         # two; strided powers and two entries (11^3, and 5^5 into e = 6) in
-        # the third; entries of both tables (2^10 into e = 12, 3^7, 7^4 and
-        # 37^2) in the fourth; three entries, into e = 5, 3 and 2, in the last.
+        # the third; the step of 2 (into e = 12) and the entries 3^7, 7^4 and
+        # 37^2 in the fourth; three entries, into e = 5, 3 and 2, in the last.
         (101 ** 2 * 103 ** 2 - 300, 101 ** 2 * 103 ** 2 + 300),
         (1021 ** 2 * 1031 ** 2 - 300, 1021 ** 2 * 1031 ** 2 + 300),
         (7 ** 2 * 11 ** 3 * 13 ** 2 * 10 ** 6 - 300, 7 ** 2 * 11 ** 3 * 13 ** 2 * 10 ** 6 + 300),
@@ -346,8 +367,12 @@ def test_scan_range_memory_does_not_grow_with_width():
 # time were 4,202,385 bytes at 2^24 and 6,573,130 bytes at 10^12. At 2^24
 # the ceiling adds about 10%; at 10^12 the level sieve peaks about 18% below
 # the old one, and one scatter over all its primes below the block length
-# (6.7 MB) goes past the old peak itself.
-@pytest.mark.parametrize("lo, ceiling", [(2 ** 24, 4_600_000), (10 ** 12, 6_573_130)])
+# (6.7 MB) goes past the old peak itself. Just below 2^50, where the base
+# primes' offsets dominate, the ceiling is the peak of the sieve that took
+# two offsets of every base prime per segment.
+@pytest.mark.parametrize(
+    "lo, ceiling", [(2 ** 24, 4_600_000), (10 ** 12, 6_573_130), ((1 << 50) - (1 << 20), 21_640_478)]
+)
 def test_scan_range_peak_memory_has_a_ceiling(lo, ceiling):
     hi = lo + 2 ** 20
     scan_range(lo, hi, Fraction(9, 5))  # caches the base primes and the wheel
