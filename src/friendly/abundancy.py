@@ -8,7 +8,6 @@ equality is always decided on exact rationals, never floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Union
@@ -16,7 +15,6 @@ from typing import Iterable, Union
 from .arith import Factorization, factorize, is_prime, sigma
 
 __all__ = [
-    "FriendPair",
     "SolitaryVerdict",
     "abundancy_index",
     "are_friends",
@@ -104,25 +102,3 @@ def solitary_certificate(n: Union[Factorization, int]) -> SolitaryVerdict:
     if math.gcd(n.value, sigma(n)) == 1:
         return SolitaryVerdict.CERTIFIED_SOLITARY
     return SolitaryVerdict.INCONCLUSIVE
-
-
-@dataclass(frozen=True)
-class FriendPair:
-    """Two distinct integers with the same abundancy index."""
-
-    smaller: int
-    larger: int
-    shared_index: Fraction
-
-    def __post_init__(self):
-        if not 1 <= self.smaller < self.larger:
-            raise ValueError("need 1 <= smaller < larger")
-        for member in (self.smaller, self.larger):
-            if abundancy_index(member) != self.shared_index:
-                raise ValueError(f"{member} does not have index {self.shared_index}")
-
-    @classmethod
-    def of(cls, m: int, n: int) -> "FriendPair":
-        if not are_friends(m, n):
-            raise ValueError(f"{m} and {n} are not friends")
-        return cls(min(m, n), max(m, n), abundancy_index(m))

@@ -27,7 +27,6 @@ from itertools import compress
 from typing import Iterable
 
 __all__ = [
-    "DEFAULT_MR_ROUNDS",
     "DEFAULT_RHO_BUDGET",
     "DEFAULT_TRIAL_BOUND",
     "FactoringBudgetError",
@@ -44,10 +43,11 @@ __all__ = [
 
 DEFAULT_TRIAL_BOUND = 10 ** 6
 DEFAULT_RHO_BUDGET = 1 << 22
-DEFAULT_MR_ROUNDS = 40
+_MR_ROUNDS = 40
 
-# Sufficient deterministic witness set for every n < 3.3e24, which covers
-# the whole 64-bit range.
+# The first 12 primes as witnesses decide every n < 2^64 exactly, and no
+# further: psi_12 = 318665857834031151167461 (about 3.2e23; Sorenson and
+# Webster, Math. Comp. 86 (2017)) is a strong pseudoprime to all of them.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_LIMIT = 1 << 64
 
@@ -93,9 +93,9 @@ def is_prime(n: int) -> bool:
 
     Below the limit of the smallest-prime-factor table, once built, the
     answer is one lookup. Otherwise, below 2^64, a fixed witness set decides
-    exactly. At or above, DEFAULT_MR_ROUNDS extra pseudorandom witnesses
-    (seeded by n, so results are reproducible) bound the false-positive
-    probability by 4**-DEFAULT_MR_ROUNDS.
+    exactly. At or above, _MR_ROUNDS extra pseudorandom witnesses (seeded
+    by n, so results are reproducible) bound the false-positive probability
+    by 4**-_MR_ROUNDS.
     """
     if n < 2:
         return False
@@ -110,7 +110,7 @@ def is_prime(n: int) -> bool:
     if n < _DETERMINISTIC_LIMIT:
         return _miller_rabin(n, _WITNESSES)
     rng = random.Random(n)
-    extra = tuple(rng.randrange(2, n - 1) for _ in range(DEFAULT_MR_ROUNDS))
+    extra = tuple(rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS))
     return _miller_rabin(n, _WITNESSES + extra)
 
 

@@ -44,6 +44,10 @@ _DOMAIN_ERRORS = (
 # writes by default. Below 2^14000, sigma(n) <= n H_n < n (1 + ln n) <
 # 2^14014 < 10^4219, so a number, a Q or a divisor sum within this cap prints.
 _MAX_BITS = 14_000
+# A prime of Q costs 52 Miller-Rabin rounds above 2^64 (arith.is_prime); at
+# 1280 bits, the most such primes a Q within _MAX_BITS holds take about 3 s
+# together, where one prime near _MAX_BITS would take minutes. 2^1279 - 1 fits.
+_MAX_PRIME_BITS = 1280
 # The largest --a whose residue class prints: derive's modulus
 # 8 sigma(5^(2a)) 5^(2a) has 4299 digits at a = 1537 and 4301 at 1538.
 _MAX_A = 1537
@@ -112,7 +116,7 @@ def parse_index(text: str) -> Fraction:
 
 def parse_q_factors(text: str) -> Factorization:
     """Comma-separated prime powers: ``7^2,11,13^1`` (empty means Q = 1),
-    with Q below 2^_MAX_BITS."""
+    each prime below 2^_MAX_PRIME_BITS and Q below 2^_MAX_BITS."""
     text = text.strip()
     if not text:
         return Factorization(())
@@ -124,6 +128,8 @@ def parse_q_factors(text: str) -> Factorization:
     # Q >= 2^(e (bits(p) - 1)) over its p^e: refused before a primality test or a power that large.
     if sum(e * (p.bit_length() - 1) for p, e in pairs if e > 0) > _MAX_BITS:
         raise too_large
+    if any(p.bit_length() > _MAX_PRIME_BITS for p, _ in pairs):
+        raise argparse.ArgumentTypeError(f"a prime of Q has more than {_MAX_PRIME_BITS} bits in {text!r}")
     try:
         q = Factorization(tuple(sorted(pairs)))
     except ValueError as exc:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import mmap
 import os
 import time
 from dataclasses import dataclass
@@ -197,12 +196,14 @@ def record_to_json(rec: ScanRecord) -> str:
     )
 
 
-def record_from_json(line: Union[str, bytes]) -> ScanRecord:
-    """Decode one record; ValueError if it contradicts its own segment or index.
+def record_from_json(line: Union[str, bytes], cp: Checkpoint) -> ScanRecord:
+    """Decode one record; ValueError if it contradicts itself or is no segment of cp's scan.
 
     Refused: a count that is not hi - lo; hits outside [lo, hi) or not
-    strictly ascending; a checksum outside [0, 2^64); a segment past the
-    sieve's height; a hit whose index is not exactly the record's.
+    strictly ascending; a checksum outside [0, 2^64); a segment off cp's grid
+    or an index not cp's; a hit whose index is not exactly the record's. The
+    grid is checked before any hit is factored: ``scan`` refuses a bound
+    past ``sieve.check_height``, so each hit on its grid is quick to factor.
     """
     doc = json.loads(line)
     rec = ScanRecord(
@@ -222,40 +223,41 @@ def record_from_json(line: Union[str, bytes]) -> ScanRecord:
         raise ValueError(f"hits {list(rec.hits)} are not strictly ascending")
     if not 0 <= rec.checksum <= _U64:
         raise ValueError(f"checksum {rec.checksum} lies outside [0, 2^64)")
-    try:
-        sieve.check_height(rec.hi)  # so each hit below is quick to factor
-    except sieve.SieveBudgetError as exc:
-        raise ValueError(f"[{rec.lo}, {rec.hi}) is no segment of a scan: {exc}") from exc
+    index = _fraction_str(rec.target_index)
+    on_grid = rec.lo in _starts(cp.bound, cp.segment_size) and rec.hi == min(rec.lo + cp.segment_size, cp.bound)
+    if not on_grid or rec.target_index != cp.target_index:
+        raise ValueError(f"record [{rec.lo}, {rec.hi}) for index {index} is not a segment of this scan")
     num, den = rec.target_index.numerator, rec.target_index.denominator
     for h in rec.hits:
         if not _is_hit(h, num, den):
-            raise ValueError(f"hit {h} does not have index {_fraction_str(rec.target_index)}")
+            raise ValueError(f"hit {h} does not have index {index}")
     return rec
 
 
-def read_records(path: Union[str, Path]) -> list[ScanRecord]:
-    """Load a JSON-lines records file; a rerun segment keeps its last record.
+def read_records(path: Union[str, Path], cp: Checkpoint) -> tuple[list[ScanRecord], int]:
+    """The records of cp's scan in file order, and the byte length of their lines.
 
     A last line without its newline is a write cut short by a crash: it is
-    left out, so its segment counts as not scanned. Any other line that does
-    not decode raises CheckpointCorruptError with the line's byte offset.
+    left out, so its segment counts as not scanned, and the length returned
+    ends before it. Any other line that ``record_from_json`` refuses, and a
+    second line for a segment already read, raises CheckpointCorruptError
+    with the line's byte offset.
     """
-    out: dict[tuple[int, int], ScanRecord] = {}
+    out: dict[int, ScanRecord] = {}  # by lo, in file order
     offset = 0
     with open(path, "rb") as fh:
         for line in fh:
             if not line.endswith(b"\n"):
                 break
-            if line.strip():
-                try:
-                    rec = record_from_json(line)
-                except _DECODE_ERRORS as exc:
-                    raise CheckpointCorruptError(
-                        str(path), f"undecodable record ({exc})", offset=offset
-                    ) from exc
-                out[(rec.lo, rec.hi)] = rec
+            try:
+                rec = record_from_json(line, cp)
+                if rec.lo in out:
+                    raise ValueError(f"a second line for [{rec.lo}, {rec.hi})")
+            except _DECODE_ERRORS as exc:
+                raise CheckpointCorruptError(str(path), f"refused record ({exc})", offset=offset) from exc
+            out[rec.lo] = rec
             offset += len(line)
-    return sorted(out.values(), key=lambda r: r.lo)
+    return list(out.values()), offset
 
 
 @dataclass(frozen=True)
@@ -396,6 +398,7 @@ def scan(
         checksum = (checksum + rec.checksum) & _U64
 
     records_path = None
+    whole = 0  # bytes of the records file's whole lines
     if checkpoint_path is not None:
         records_path = str(checkpoint_path) + ".records"
         params = Checkpoint(CHECKPOINT_VERSION, target, bound, segment_size)
@@ -405,15 +408,8 @@ def scan(
                 raise CheckpointMismatchError(
                     f"{checkpoint_path}: written for {stored}, not {params}; refusing to resume"
                 )
-            # read_records keeps one record per segment, so none is tallied twice.
-            for rec in read_records(records_path):
-                stray = rec.lo not in starts or rec.hi != min(rec.lo + segment_size, bound)
-                if stray or rec.target_index != target:
-                    raise CheckpointCorruptError(
-                        records_path,
-                        f"record [{rec.lo}, {rec.hi}) for index "
-                        f"{_fraction_str(rec.target_index)} is not a segment of this scan",
-                    )
+            records, whole = read_records(records_path, params)
+            for rec in records:
                 tally(rec)
         else:
             open(records_path, "wb").close()
@@ -422,13 +418,11 @@ def scan(
     segments = ((lo, min(lo + segment_size, bound)) for lo in starts if lo not in done)
     todo = islice(segments, max_segments)
     new_records: list[ScanRecord] = []
-    records_fh = open(records_path, "a+b") if records_path else None
+    records_fh = open(records_path, "ab") if records_path else None
     try:
-        if records_fh is not None and records_fh.seek(0, os.SEEK_END):
-            # A last line without its newline was cut short by a crash and
-            # read_records left it out; drop it so appends start on a new line.
-            with mmap.mmap(records_fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
-                whole = view.rfind(b"\n") + 1
+        if records_fh is not None:
+            # A last line cut short by a crash lies past the whole lines that
+            # read_records read; drop it so appends start on a new line.
             records_fh.truncate(whole)
 
         def complete(rec: ScanRecord) -> None:

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from friendly.abundancy import (
-    FriendPair,
     SolitaryVerdict,
     abundancy_index,
     are_friends,
@@ -85,7 +84,8 @@ def test_index_strictly_below_support_bound():
 
 
 def test_are_friends_examples():
-    assert are_friends(6, 28)
+    assert are_friends(6, 28) and are_friends(28, 6)
+    assert not are_friends(6, 10)
     assert not are_friends(10, 10)
     assert are_friends(30, 140)
 
@@ -158,22 +158,6 @@ def test_certified_numbers_have_no_small_friends():
     for n in range(1, 200):
         if solitary_certificate(n) is SolitaryVerdict.CERTIFIED_SOLITARY:
             assert friends_brute(n, 5000) == [], n
-
-
-# --- friend pairs ------------------------------------------------------------
-
-
-def test_friend_pair_construction():
-    pair = FriendPair.of(28, 6)
-    assert (pair.smaller, pair.larger) == (6, 28)
-    assert pair.shared_index == Fraction(2)
-
-
-def test_friend_pair_rejects_non_friends():
-    with pytest.raises(ValueError):
-        FriendPair.of(6, 10)
-    with pytest.raises(ValueError):
-        FriendPair(smaller=6, larger=10, shared_index=Fraction(2))
 
 
 # --- small versions of the index laws (full ranges run in the verify suites) --

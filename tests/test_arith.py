@@ -100,6 +100,20 @@ def test_is_prime_above_64_bits():
     assert not is_prime((2 ** 61 - 1) * (2 ** 89 - 1))
 
 
+@pytest.mark.parametrize(
+    "n, p",
+    [
+        (318665857834031151167461, 399165290221),  # psi_12 (Sorenson and Webster, 2017)
+        (3317044064679887385961981, 1287836182261),  # psi_13
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes_to_the_fixed_witnesses(n, p):
+    # Above 2^64 the 12 fixed witnesses alone would call n prime; the seeded rounds must not.
+    assert n > 2 ** 64 and n % p == 0 and p < n
+    assert arith._miller_rabin(n, arith._WITNESSES)
+    assert not is_prime(n)
+
+
 # --- factorization -----------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -393,6 +394,8 @@ _PAST_THE_CAPS = [
     (("check", "--a", "1"), "--q-factors", "7^10800002,11,13,17,19,23",
      "Q is too large: more than 14000 bits in '7^10800002,11,13,17,19,23'"),
     (("check", "--a", "1"), "--q-factors", "7^4987", "Q is too large: more than 14000 bits in '7^4987'"),
+    # One bit over the per-prime cap, refused before its primality test.
+    (("check", "--a", "1"), "--q-factors", f"7,{2 ** 1280 + 1}", "a prime of Q has more than 1280 bits in '7,"),
 ]
 
 
@@ -423,6 +426,20 @@ def test_the_largest_accepted_inputs_print(run_cli):
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith(f"candidate: 5^{2 * int(a)} * 7^")
         assert "overall: RejectedBy(" in result.stdout
+
+
+def test_the_slowest_accepted_check_finishes_in_seconds(run_cli):
+    # The ten largest primes below 2^1280, at the per-prime cap, and the
+    # largest below 2^1200: as many primality tests at the cap as Q's
+    # 14,000 bits hold. About 3 s on a 2-core VM.
+    below_the_cap = (10277, 10043, 8865, 7703, 7607, 7079, 5907, 3149, 1665, 1175)
+    primes = [2 ** 1200 - 305] + [2 ** 1280 - k for k in below_the_cap]
+    assert math.prod(primes).bit_length() <= 14000
+    started = time.perf_counter()
+    result = run_cli("check", "--a", "1537", "--q-factors", ",".join(map(str, primes)), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "overall: RejectedBy(prime_support)" in result.stdout
+    assert time.perf_counter() - started < 30
 
 
 # --- environment variable fallbacks -------------------------------------------------

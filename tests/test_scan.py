@@ -641,9 +641,11 @@ def test_resume_rescans_nothing_below_frontier(tmp_path):
     assert second.scanned_count == bound - 1
     # combined coverage is seamless, and the checkpoint still names the run
     assert second.frontier == bound
-    records = read_records(str(path) + ".records")
+    cp = checkpoint_load(path)
+    assert cp == Checkpoint(CHECKPOINT_VERSION, Fraction(9, 5), bound, seg)
+    records, whole = read_records(str(path) + ".records", cp)
     assert [(r.lo, r.hi) for r in records] == [(lo, min(lo + seg, bound)) for lo in range(1, bound, seg)]
-    assert checkpoint_load(path) == Checkpoint(CHECKPOINT_VERSION, Fraction(9, 5), bound, seg)
+    assert whole == os.path.getsize(str(path) + ".records")
 
 
 def test_resumed_totals_match_a_fresh_run(tmp_path):
@@ -666,6 +668,8 @@ def test_pooled_records_out_of_grid_order_resume_to_a_fresh_runs_totals(tmp_path
     assert len(lines) == 5
     # The pool appends records in the order they finish; descending, they are surely out of grid order.
     records.write_bytes(b"".join(sorted(lines, key=lambda line: -int(json.loads(line)["lo"]))))
+    stored, _ = read_records(records, checkpoint_load(path))
+    assert [r.lo for r in stored] == [1 + k * seg for k in range(4, -1, -1)]  # file order
     resumed = scan(bound, target, workers=1, segment_size=seg, checkpoint_path=path, max_segments=3)
     fresh = scan(bound, target, segment_size=seg, max_segments=8)
     assert resumed.hits == fresh.hits == (6, 28, 496, 8128)
@@ -687,12 +691,13 @@ def test_resume_after_a_crash_at_every_byte_of_the_records_file(tmp_path):
     for cut in range(len(data) + 1):
         records.write_bytes(data[:cut])
         whole = data[:cut].count(b"\n")  # lines that survived with their newline
+        assert read_records(records, checkpoint_load(path))[1] == data.rfind(b"\n", 0, cut) + 1, cut
         resumed = scan(bound, target, segment_size=seg, checkpoint_path=path)
         assert resumed.hits == fresh.hits == (6, 28, 496), cut
         assert resumed.checksum == fresh.checksum, cut
         assert resumed.scanned_count == fresh.scanned_count, cut
         assert [(r.lo, r.hi) for r in resumed.new_records] == grid[whole:], cut
-        assert [(r.lo, r.hi) for r in read_records(records)] == grid, cut
+        assert [(r.lo, r.hi) for r in read_records(records, checkpoint_load(path))[0]] == grid, cut
 
 
 def test_corrupt_middle_record_reports_its_offset(tmp_path):
@@ -740,10 +745,10 @@ def test_resume_refuses_a_record_that_disagrees_with_its_segment(tmp_path, field
         ({"hits": ["11"]}, "hit 11 does not have index 9/5"),
         ({"checksum": "-1"}, "checksum -1 lies outside [0, 2^64)"),
         ({"checksum": str(1 << 64)}, f"checksum {1 << 64} lies outside [0, 2^64)"),
-        # A segment past the sieve is refused before its hit is factored.
+        # A segment past the sieve lies off the grid, refused before its hit is factored.
         (
             {"lo": str(1 << 128), "hi": str((1 << 128) + 1000), "hits": [str((1 << 128) + 1)]},
-            "would overflow the sieve",
+            f"record [{1 << 128}, {(1 << 128) + 1000}) for index 9/5 is not a segment of this scan",
         ),
     ],
     ids=["repeated-hit", "not-a-hit", "negative-checksum", "checksum-2^64", "past-the-sieve"],
@@ -766,7 +771,7 @@ def test_resume_refuses_a_record_that_contradicts_its_index(tmp_path, edits, rea
 
 
 @pytest.mark.parametrize("other_seg, other_target", [(50, Fraction(2)), (100, Fraction(9, 5))])
-def test_resume_refuses_records_of_another_scan(tmp_path, other_seg, other_target):
+def test_resume_refuses_records_of_another_scan(tmp_path, monkeypatch, other_seg, other_target):
     path = tmp_path / "scan.checkpoint"
     records = tmp_path / "scan.checkpoint.records"
     scan(1200, Fraction(2), segment_size=100, checkpoint_path=path, max_segments=2)
@@ -774,8 +779,26 @@ def test_resume_refuses_records_of_another_scan(tmp_path, other_seg, other_targe
     other = tmp_path / "other.checkpoint"
     scan(1200, other_target, segment_size=other_seg, checkpoint_path=other, max_segments=3)
     records.write_bytes(mine + (tmp_path / "other.checkpoint.records").read_bytes())
-    with pytest.raises(CheckpointCorruptError, match="not a segment of this scan"):
+    module = importlib.import_module("friendly.scan")
+    factored = []
+    monkeypatch.setattr(module, "factorize", lambda n: factored.append(n) or factorize(n))
+    with pytest.raises(CheckpointCorruptError, match="not a segment of this scan") as info:
         scan(1200, Fraction(2), segment_size=100, checkpoint_path=path)
+    assert info.value.offset == len(mine)
+    assert factored == [6, 28]  # the first foreign line's hits were never factored
+
+
+def test_resume_refuses_a_second_line_for_a_segment(tmp_path):
+    path = tmp_path / "scan.checkpoint"
+    records = tmp_path / "scan.checkpoint.records"
+    scan(1200, Fraction(2), segment_size=100, checkpoint_path=path, max_segments=3)
+    lines = records.read_bytes().splitlines(keepends=True)
+    records.write_bytes(b"".join(lines) + lines[0])
+    before = path.read_bytes(), records.read_bytes()
+    with pytest.raises(CheckpointCorruptError, match=re.escape("a second line for [1, 101)")) as info:
+        scan(1200, Fraction(2), segment_size=100, checkpoint_path=path)
+    assert info.value.offset == len(b"".join(lines))
+    assert (path.read_bytes(), records.read_bytes()) == before
 
 
 def test_records_file_is_jsonl_with_decimal_strings(tmp_path):
@@ -791,7 +814,7 @@ def test_records_file_is_jsonl_with_decimal_strings(tmp_path):
             assert isinstance(doc[key], str) and doc[key].isdigit()
         assert all(isinstance(h, str) and h.isdigit() for h in doc["hits"])
         assert doc["target_index"] == "9/5"
-    loaded = read_records(records_path)
+    loaded, _ = read_records(records_path, checkpoint_load(path))
     assert [r.hits for r in loaded if r.hits] == [(10,)]
 
 
