@@ -27,8 +27,6 @@ from itertools import compress
 from typing import Iterable
 
 __all__ = [
-    "DEFAULT_RHO_BUDGET",
-    "DEFAULT_TRIAL_BOUND",
     "FactoringBudgetError",
     "Factorization",
     "crt",
@@ -41,8 +39,8 @@ __all__ = [
     "sigma_prime_power",
 ]
 
-DEFAULT_TRIAL_BOUND = 10 ** 6
-DEFAULT_RHO_BUDGET = 1 << 22
+_TRIAL_BOUND = 10 ** 6
+_RHO_BUDGET = 1 << 22
 _MR_ROUNDS = 40
 
 # The first 12 primes as witnesses decide every n < 2^64 exactly, and no
@@ -222,8 +220,8 @@ def factorize(n: int) -> Factorization:
 
     Below the limit each prime factor is one lookup of the smallest-prime-
     factor table. Above it, trial division runs over the cached primes below
-    min(DEFAULT_TRIAL_BOUND, isqrt(n) + 1); whatever survives goes through
-    Brent's cycle method under a budget of DEFAULT_RHO_BUDGET iterations.
+    min(_TRIAL_BOUND, isqrt(n) + 1); whatever survives goes through
+    Brent's cycle method under a budget of _RHO_BUDGET iterations.
     Both are read at call time. Exceeding the budget raises
     FactoringBudgetError so callers can skip or defer the value rather than
     stall.
@@ -231,7 +229,7 @@ def factorize(n: int) -> Factorization:
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"can only factor n >= 1, got {n}")
-    trial_bound = DEFAULT_TRIAL_BOUND
+    trial_bound = _TRIAL_BOUND
     spf, primes = _table
     if n >= len(spf):
         spf, primes = _grow_table(min(trial_bound, math.isqrt(n) + 1))
@@ -255,14 +253,14 @@ def factorize(n: int) -> Factorization:
             rest //= p
             factors[p] = factors.get(p, 0) + 1
     if rest > 1:
-        _split(rest, factors, [DEFAULT_RHO_BUDGET])
+        _split(rest, factors, [_RHO_BUDGET])
     return Factorization._proven(tuple(sorted(factors.items())))
 
 
 def _split(m: int, factors: dict[int, int], budget: list[int]) -> None:
-    # m has no prime factor below DEFAULT_TRIAL_BOUND, so anything under its
+    # m has no prime factor below _TRIAL_BOUND, so anything under its
     # square is automatically prime.
-    if m < DEFAULT_TRIAL_BOUND * DEFAULT_TRIAL_BOUND or is_prime(m):
+    if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
         factors[m] = factors.get(m, 0) + 1
         return
     d = _brent_rho(m, budget)
@@ -283,7 +281,7 @@ def _brent_rho(n: int, budget: list[int]) -> int:
         while g == 1:
             x = y
             if budget[0] < r:
-                raise FactoringBudgetError(n, DEFAULT_RHO_BUDGET)
+                raise FactoringBudgetError(n, _RHO_BUDGET)
             budget[0] -= r
             for _ in range(r):
                 y = (y * y + c) % n
@@ -292,7 +290,7 @@ def _brent_rho(n: int, budget: list[int]) -> int:
                 ys = y
                 steps = min(128, r - k)
                 if budget[0] < steps:
-                    raise FactoringBudgetError(n, DEFAULT_RHO_BUDGET)
+                    raise FactoringBudgetError(n, _RHO_BUDGET)
                 budget[0] -= steps
                 for _ in range(steps):
                     y = (y * y + c) % n

@@ -82,6 +82,14 @@ def parse_positive(text: str) -> int:
     return value
 
 
+def parse_scan_bound(text: str) -> int:
+    """A scan's bound: at least 2, so that [1, bound) holds a number."""
+    value = parse_natural(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"bound must be >= 2 to scan [1, bound), got {text!r}")
+    return value
+
+
 def parse_half_exponent(text: str) -> int:
     """The half-exponent a of 5, from 1 to _MAX_A."""
     value = parse_positive(text)
@@ -116,7 +124,7 @@ def parse_index(text: str) -> Fraction:
 
 def parse_q_factors(text: str) -> Factorization:
     """Comma-separated prime powers: ``7^2,11,13^1`` (empty means Q = 1),
-    each prime below 2^_MAX_PRIME_BITS and Q below 2^_MAX_BITS."""
+    each prime at least 7 and below 2^_MAX_PRIME_BITS, and Q below 2^_MAX_BITS."""
     text = text.strip()
     if not text:
         return Factorization(())
@@ -130,6 +138,9 @@ def parse_q_factors(text: str) -> Factorization:
         raise too_large
     if any(p.bit_length() > _MAX_PRIME_BITS for p, _ in pairs):
         raise argparse.ArgumentTypeError(f"a prime of Q has more than {_MAX_PRIME_BITS} bits in {text!r}")
+    for p, _ in pairs:
+        if p in (2, 3, 5):
+            raise argparse.ArgumentTypeError(f"Q must be odd and coprime to 15; {text!r} has the prime {p}")
     try:
         q = Factorization(tuple(sorted(pairs)))
     except ValueError as exc:
@@ -352,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, _cmd_derive)
 
     p = sub.add_parser("scan", help="exhaustive index scan of [1, bound)")
-    _option(p, "--bound", type=parse_natural, required=True)
+    _option(p, "--bound", type=parse_scan_bound, required=True)
     _option(p, "--index", type=parse_index, required=True, help="target index P/Q")
     _option(p, "--resume", help="checkpoint path; created if missing")
     _option(p, "--workers", type=parse_workers, default=1)

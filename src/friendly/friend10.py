@@ -17,14 +17,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from heapq import merge
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .abundancy import _support_ceiling
 from .arith import (
     Factorization,
     crt,
-    factorize,
+    factorize,  # not called here; perfbench/tracer.py wraps friendly.friend10.factorize
     is_prime,
     multiplicative_order,
     p_adic_valuation,
@@ -42,7 +41,6 @@ __all__ = [
     "check_rule",
     "derive_residue_class",
     "divides_sigma_even_power",
-    "enumerate_structured",
     "filter_chain",
     "lower_bound",
     "omega_lower_bound",
@@ -149,32 +147,6 @@ class Candidate:
         parts = [f"5^{2 * self.a}"]
         parts += [f"{p}^{2 * e}" for p, e in self.q_factorization]
         return " * ".join(parts)
-
-
-def enumerate_structured(bound: int) -> Iterator[Candidate]:
-    """Every candidate 5^(2a) * Q^2 <= bound, ascending by value.
-
-    Q runs over odd integers coprime to 15 (including 1); each admissible a
-    contributes one ascending stream and the streams merge by value. The
-    5-adic valuation pins a, so no value appears twice.
-    """
-    if bound < 25:
-        raise ValueError(f"bound must be at least 25, got {bound}")
-
-    def stream(a: int) -> Iterator[Candidate]:
-        base = 5 ** (2 * a)
-        q = 1
-        while base * q * q <= bound:
-            if q % 3 != 0 and q % 5 != 0:
-                yield Candidate(a=a, q_factorization=factorize(q))
-            q += 2
-
-    streams = []
-    a = 1
-    while 5 ** (2 * a) <= bound:
-        streams.append(stream(a))
-        a += 1
-    return merge(*streams, key=lambda c: c.value)
 
 
 def sigma5_mod8(a: int) -> int:

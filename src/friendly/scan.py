@@ -113,8 +113,9 @@ def scan_range(lo: int, hi: int, target: Fraction) -> ScanRecord:
 
     The segment's sigma values come from the batched sieve one block at a
     time: each block is matched and summed into the checksum as it is
-    finished, so a call holds block scratch and O(pi(sqrt(hi))) per-prime
-    state, whatever the width. Any hit is then re-verified through the exact
+    finished, so a call never holds the segment's sigma values; its memory
+    still grows with the width through the sieve's sparse-power table, up
+    to sieve.MAX_SEGMENT. Any hit is then re-verified through the exact
     factorization path before being recorded. The checksum sums sieved
     sigma values mod 2^64 and is independent of how the surrounding scan is
     parallelized.
@@ -264,7 +265,6 @@ def read_records(path: Union[str, Path], cp: Checkpoint) -> tuple[list[ScanRecor
 class Checkpoint:
     """The parameters of a resumable scan; its progress is the records file."""
 
-    version: int
     target_index: Fraction
     bound: int
     segment_size: int
@@ -273,7 +273,7 @@ class Checkpoint:
 def checkpoint_save(path: Union[str, Path], cp: Checkpoint) -> None:
     """Write durably and atomically: a synced temp file replaces the destination."""
     doc = {
-        "version": cp.version,
+        "version": CHECKPOINT_VERSION,
         "target_index": _fraction_str(cp.target_index),
         "bound": str(cp.bound),
         "segment_size": str(cp.segment_size),
@@ -303,7 +303,6 @@ def checkpoint_load(path: Union[str, Path]) -> Checkpoint:
         )
     try:
         return Checkpoint(
-            version=version,
             target_index=_parse_fraction(doc["target_index"]),
             bound=int(doc["bound"]),
             segment_size=int(doc["segment_size"]),
@@ -401,7 +400,7 @@ def scan(
     whole = 0  # bytes of the records file's whole lines
     if checkpoint_path is not None:
         records_path = str(checkpoint_path) + ".records"
-        params = Checkpoint(CHECKPOINT_VERSION, target, bound, segment_size)
+        params = Checkpoint(target, bound, segment_size)
         if Path(checkpoint_path).exists():
             stored = checkpoint_load(checkpoint_path)
             if stored != params:

@@ -166,7 +166,7 @@ def test_factorize_validates_input():
 
 def test_factorize_budget_error(monkeypatch):
     hard = (2 ** 127 - 1) * (2 ** 89 - 1)  # two large primes, no small factors
-    monkeypatch.setattr(arith, "DEFAULT_RHO_BUDGET", 64)
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 64)
     with pytest.raises(FactoringBudgetError) as info:
         factorize(hard)
     assert info.value.budget == 64
@@ -186,7 +186,7 @@ def test_factorize_agrees_with_validated_constructor():
     # factorize skips the checks on its own output; the checked constructor
     # must accept that output unchanged.
     semiprimes = [
-        1_000_003 * 1_000_033,  # just above DEFAULT_TRIAL_BOUND^2, so _split runs is_prime and rho
+        1_000_003 * 1_000_033,  # just above _TRIAL_BOUND^2, so _split runs is_prime and rho
         (2 ** 31 - 1) * (2 ** 61 - 1),
         999_983 * 1_000_003,
     ]
@@ -224,13 +224,13 @@ def test_abundancy_index_and_are_friends_take_numpy_integers():
 
 
 def test_factorize_respects_small_trial_bound(table_limit, monkeypatch):
-    # Past the table, a DEFAULT_TRIAL_BOUND below the cached primes hands more to
+    # Past the table, a _TRIAL_BOUND below the cached primes hands more to
     # _split and rho; the factors must not change.
     rho_calls = []
     real_rho = arith._brent_rho
     monkeypatch.setattr(arith, "_brent_rho", lambda n, *a: rho_calls.append(n) or real_rho(n, *a))
     for bound in (3, 10, 100):
-        monkeypatch.setattr(arith, "DEFAULT_TRIAL_BOUND", bound)
+        monkeypatch.setattr(arith, "_TRIAL_BOUND", bound)
         for n in range(table_limit, table_limit + 3000):
             assert factorize(n).pairs == trial_factor(n), (n, bound)
     assert rho_calls

@@ -50,6 +50,8 @@ def test_derive_human(run_cli):
 def test_friends_human(run_cli):
     result = run_cli("friends", "6", "--bound", "1000")
     assert result.stdout == "friends of 6 up to 1000: [28, 496]\n"
+    # A bound a scan refuses is an empty search here.
+    assert run_cli("friends", "6", "--bound", "0").stdout == "friends of 6 up to 0: []\n"
 
 
 def test_solitary_human(run_cli):
@@ -310,18 +312,18 @@ def test_segment_past_the_sieve_budget_is_domain_error(run_cli, tmp_path):
 
 
 def test_domain_error_exit_1(run_cli):
-    result = run_cli("scan", "--bound", "1", "--index", "9/5")
+    result = run_cli("scan", "--bound", "2^51", "--index", "9/5")
     assert result.returncode == 1
     assert "error:" in result.stderr
 
 
 def test_domain_error_json_object(run_cli):
-    result = run_cli("scan", "--bound", "1", "--index", "9/5", "--json")
+    result = run_cli("scan", "--bound", "2^51", "--index", "9/5", "--json")
     assert result.returncode == 1
     doc = json.loads(result.stdout)
     assert doc["command"] == "scan"
-    assert doc["error"]["type"] == "ValueError"
-    assert "bound must be >= 2" in doc["error"]["message"]
+    assert doc["error"]["type"] == "SieveBudgetError"
+    assert "would overflow the sieve" in doc["error"]["message"]
 
 
 @pytest.mark.parametrize(
@@ -337,6 +339,15 @@ def test_zero_n_is_a_usage_error(run_cli, args):
 def test_check_rejects_bad_q_factors(run_cli):
     result = run_cli("check", "--a", "1", "--q-factors", "4^2")
     assert result.returncode == 2  # parse-level validation: 4 is not prime
+
+
+def test_a_prime_below_7_is_refused_before_any_primality_test(monkeypatch):
+    def no_test(n):
+        raise AssertionError(f"is_prime({n}) ran")
+
+    monkeypatch.setattr(arith, "is_prime", no_test)
+    with pytest.raises(argparse.ArgumentTypeError, match="has the prime 5"):
+        cli.parse_q_factors(f"{2 ** 1279 - 1},5")
 
 
 def test_workers_past_the_cap_are_a_usage_error(monkeypatch, capsys):
@@ -372,6 +383,11 @@ def test_workers_past_the_cap_are_a_usage_error(monkeypatch, capsys):
         (("scan", "--bound", "100", "--index", "9/5"), "--workers", "-2", "expected a natural number, got '-2'"),
         (("check",), "--a", "0", "expected a positive integer, got '0'"),
         (("derive",), "--a", "0", "expected a positive integer, got '0'"),
+        (("check", "--a", "1"), "--q-factors", "5", "Q must be odd and coprime to 15; '5' has the prime 5"),
+        (("check", "--a", "1"), "--q-factors", "2", "Q must be odd and coprime to 15; '2' has the prime 2"),
+        (("check", "--a", "1"), "--q-factors", "7,3^2", "Q must be odd and coprime to 15; '7,3^2' has the prime 3"),
+        (("scan", "--index", "9/5"), "--bound", "1", "bound must be >= 2 to scan [1, bound), got '1'"),
+        (("scan", "--index", "9/5"), "--bound", "0", "bound must be >= 2 to scan [1, bound), got '0'"),
     ],
 )
 def test_usage_error_keeps_the_parsers_reason(run_cli, args, flag, value, reason):

@@ -27,7 +27,6 @@ from friendly.friend10 import (
     sigma5_mod8,
     smallest_odd_f,
 )
-from friendly.friend10 import enumerate_structured
 
 
 def candidate(a, q=1, exponents=None):
@@ -37,6 +36,24 @@ def candidate(a, q=1, exponents=None):
     primes = (7, 11, 13, 17, 19, 23, 29, 31, 37)
     pairs = tuple((p, e) for p, e in zip(primes, exponents))
     return Candidate(a=a, q_factorization=Factorization(pairs))
+
+
+def candidates_up_to(bound):
+    """Every candidate 5^(2a) * Q^2 <= bound: a >= 1, odd Q coprime to 15."""
+    a = 1
+    while 25 ** a <= bound:
+        for q in range(1, math.isqrt(bound // 25 ** a) + 1, 2):
+            if q % 3 and q % 5:
+                yield Candidate(a, factorize(q))
+        a += 1
+
+
+def test_candidates_up_to_counts_every_shape_once():
+    assert sorted(c.value for c in candidates_up_to(1225)) == [25, 625, 1225]
+    for bound, count in ((10 ** 5, 21), (3 * 10 ** 5, 37), (10 ** 6, 67), (10 ** 8, 667)):
+        values = [c.value for c in candidates_up_to(bound)]
+        assert len(values) == len(set(values)) == count
+        assert max(values) <= bound
 
 
 def passes(name, c):
@@ -161,7 +178,7 @@ def test_eq1_examples():
 
 
 def test_eq1_equivalent_to_index_nine_fifths():
-    for c in enumerate_structured(10 ** 6):
+    for c in candidates_up_to(10 ** 6):
         assert passes("eq1", c) == (abundancy_index(c.value) == TARGET_INDEX)
 
 
@@ -177,7 +194,7 @@ def test_nine_exact_examples():
 
 
 def test_nine_exact_matches_full_sigma():
-    for c in enumerate_structured(10 ** 5):
+    for c in candidates_up_to(10 ** 5):
         s = sigma(factorize(c.value))
         assert passes("nine_exact", c) == (s % 9 == 0 and s % 27 != 0), c.label
 
@@ -235,7 +252,7 @@ def test_congruence_sum_examples():
 
 
 def test_congruence_sum_never_rejects_under_hypothesis():
-    for c in enumerate_structured(3 * 10 ** 5):
+    for c in candidates_up_to(3 * 10 ** 5):
         outcome = check_rule("mod8_sum", c)
         assert outcome.verdict is not Verdict.REJECT
         s5 = sigma_prime_power(5, 2 * c.a)
@@ -409,7 +426,7 @@ def test_structural_examples():
 
 
 def test_check_rule_is_the_chains_step():
-    for c in enumerate_structured(10 ** 6):
+    for c in candidates_up_to(10 ** 6):
         for r in filter_chain(c).results:
             if r.detail != "skipped after earlier rejection":
                 assert check_rule(r.rule, c) == r, (c.label, r.rule)
@@ -475,7 +492,7 @@ def test_all_thirteen_family_rejected_by_mod3_first():
 
 
 def test_no_candidate_survives_at_desk_scale():
-    for c in enumerate_structured(10 ** 8):
+    for c in candidates_up_to(10 ** 8):
         report = filter_chain(c)
         assert not report.survives, c.label
 

@@ -1,4 +1,4 @@
-"""Segmented scanning, checkpointing, and structured enumeration."""
+"""Segmented scanning and checkpointing."""
 
 import concurrent.futures
 import importlib
@@ -18,7 +18,6 @@ import pytest
 
 from friendly import sieve
 from friendly.arith import factorize, is_prime, sigma
-from friendly.friend10 import enumerate_structured
 from friendly.scan import (
     CHECKPOINT_VERSION,
     Checkpoint,
@@ -385,6 +384,22 @@ def test_scan_range_peak_memory_has_a_ceiling(lo, ceiling):
     assert peak <= ceiling, peak
 
 
+# A segment's sparse-power table grows with its width, so MAX_SEGMENT bounds
+# a call's memory. The warm peaks of a 2^24-wide segment were 14,644,813
+# bytes from 1 and 15,278,328 bytes from 10^12; each ceiling adds about 10%.
+@pytest.mark.parametrize("lo, ceiling", [(1, 16_100_000), (10 ** 12, 16_800_000)])
+def test_scan_range_peak_memory_at_the_widest_segment(lo, ceiling):
+    hi = lo + MAX_SEGMENT
+    scan_range(hi - 2 ** 10, hi, Fraction(9, 5))  # caches the base primes and the wheel
+    tracemalloc.start()
+    try:
+        scan_range(lo, hi, Fraction(9, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ceiling, peak
+
+
 def test_scan_range_rejects_empty_or_bad_ranges():
     with pytest.raises(ValueError):
         scan_range(2, 2, Fraction(2))
@@ -557,20 +572,20 @@ def test_scan_coverage_has_no_gaps_or_overlap():
 
 def test_checkpoint_round_trip(tmp_path):
     cp = Checkpoint(
-        version=CHECKPOINT_VERSION,
         target_index=Fraction(9, 5),
         bound=10 ** 6,
         segment_size=1 << 20,
     )
     path = tmp_path / "scan.checkpoint"
     checkpoint_save(path, cp)
+    assert json.loads(path.read_text())["version"] == CHECKPOINT_VERSION
     assert checkpoint_load(path) == cp
     assert [p.name for p in tmp_path.iterdir()] == ["scan.checkpoint"]  # no temp file left
 
 
 def test_checkpoint_truncated_file_reports_offset(tmp_path):
     path = tmp_path / "scan.checkpoint"
-    cp = Checkpoint(version=CHECKPOINT_VERSION, target_index=Fraction(2), bound=100, segment_size=10)
+    cp = Checkpoint(target_index=Fraction(2), bound=100, segment_size=10)
     checkpoint_save(path, cp)
     whole = path.read_text()
     path.write_text(whole[: len(whole) // 2])
@@ -642,7 +657,7 @@ def test_resume_rescans_nothing_below_frontier(tmp_path):
     # combined coverage is seamless, and the checkpoint still names the run
     assert second.frontier == bound
     cp = checkpoint_load(path)
-    assert cp == Checkpoint(CHECKPOINT_VERSION, Fraction(9, 5), bound, seg)
+    assert cp == Checkpoint(Fraction(9, 5), bound, seg)
     records, whole = read_records(str(path) + ".records", cp)
     assert [(r.lo, r.hi) for r in records] == [(lo, min(lo + seg, bound)) for lo in range(1, bound, seg)]
     assert whole == os.path.getsize(str(path) + ".records")
@@ -816,44 +831,3 @@ def test_records_file_is_jsonl_with_decimal_strings(tmp_path):
         assert doc["target_index"] == "9/5"
     loaded, _ = read_records(records_path, checkpoint_load(path))
     assert [r.hits for r in loaded if r.hits] == [(10,)]
-
-
-# --- structured enumeration ---------------------------------------------------------
-
-
-def test_enumerate_examples():
-    assert [c.value for c in enumerate_structured(625)] == [25, 625]
-    values = [c.value for c in enumerate_structured(1225)]
-    assert values == [25, 625, 1225]
-    by_value = {c.value: c for c in enumerate_structured(1225)}
-    assert by_value[1225].a == 1 and by_value[1225].q == 7
-
-
-def test_enumerate_bound_validation():
-    with pytest.raises(ValueError):
-        list(enumerate_structured(24))
-
-
-def test_enumerate_matches_double_loop_oracle():
-    bound = 10 ** 6
-    expected = []
-    a = 1
-    while 25 ** a <= bound:
-        q = 1
-        while 25 ** a * q * q <= bound:
-            if q % 2 == 1 and q % 3 != 0 and q % 5 != 0:
-                expected.append(25 ** a * q * q)
-            q += 1
-        a += 1
-    got = [c.value for c in enumerate_structured(bound)]
-    assert sorted(expected) == got
-    assert len(got) == 67
-
-
-def test_enumerate_is_ascending_and_duplicate_free():
-    values = [c.value for c in enumerate_structured(5 * 10 ** 6)]
-    assert values == sorted(values)
-    assert len(values) == len(set(values))
-    for c in enumerate_structured(10 ** 5):
-        assert c.value <= 10 ** 5
-        assert c.q % 2 == 1 and c.q % 3 != 0 and c.q % 5 != 0
