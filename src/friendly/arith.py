@@ -65,15 +65,13 @@ class FactoringBudgetError(Exception):
 
 
 def _miller_rabin(n: int, bases: Iterable[int]) -> bool:
+    # Every base lies in [2, n - 2]: is_prime calls this only for n >= 41.
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
     for a in bases:
-        a %= n
-        if a == 0:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -172,6 +170,8 @@ class Factorization:
         object.__setattr__(self, "pairs", pairs)
         prev = 1
         for p, e in pairs:
+            if p < 2:
+                raise ValueError(f"{p} is not prime")
             if p <= prev:
                 raise ValueError(f"primes must increase strictly: {p} after {prev}")
             if e < 1:
@@ -269,9 +269,7 @@ def _split(m: int, factors: dict[int, int], budget: list[int]) -> None:
 
 
 def _brent_rho(n: int, budget: list[int]) -> int:
-    """One nontrivial factor of composite n via Brent's cycle detection."""
-    if n % 2 == 0:
-        return 2
+    """One nontrivial factor of odd composite n via Brent's cycle detection."""
     rng = random.Random(n)
     while True:
         y = rng.randrange(1, n)

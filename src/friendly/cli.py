@@ -269,8 +269,6 @@ def _cmd_scan(ns):
         f"checksum: {outcome.checksum}",
         f"hits: {listing}",
     ]
-    if not outcome.complete:
-        lines.append(f"frontier: {outcome.frontier} (incomplete)")
     return (
         inputs,
         {

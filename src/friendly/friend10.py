@@ -12,7 +12,6 @@ candidate. Every check is exact integer or rational arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -246,11 +245,8 @@ def derive_residue_class(a: int) -> ResidueClass:
     """
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
+    # s5 ≡ 1 (mod 5), and ≡ 1 (mod 3) as its 2a + 1 terms alternate ±1: coprime to 45.
     s5 = sigma_prime_power(5, 2 * a)
-    if math.gcd(s5, 45) != 1:
-        raise ArithmeticError(
-            f"gcd(sigma(5^{2 * a}), 45) != 1 breaks the derivation; cannot happen"
-        )
     # Odd residues are self-inverse mod 8, so the forced sigma(Q^2) residue
     # is 5 * sigma5_mod8(a).
     forced8 = 5 * sigma5_mod8(a) % 8
@@ -304,6 +300,11 @@ def _mod8_sum(c: Candidate) -> tuple[Verdict, str]:
     i.e. is ≡ 5 (Q^2 being odd); when that shadow of the defining equation
     fails the hypothesis is void and the rule abstains. Under the hypothesis
     the sum must be 6 mod 8 for even a and 2 mod 8 for odd a.
+
+    So the rule can never reject: s5 is odd, hence self-inverse mod 8, and
+    the hypothesis gives sq ≡ 5 * s5, so the sum is ≡ 6 * s5, which is 6
+    for s5 in {1, 5} (a even) and 2 for s5 in {7, 3} (a odd). It stays as
+    the paper's theorem and for the ``check`` output.
     """
     s5 = sigma5_mod8(c.a)
     sq = _sigma_q_squared_mod(c, 8)

@@ -88,6 +88,8 @@ def test_are_friends_examples():
     assert not are_friends(6, 10)
     assert not are_friends(10, 10)
     assert are_friends(30, 140)
+    with pytest.raises(ValueError, match="positive integers"):
+        are_friends(0, 6)
 
 
 def test_are_friends_symmetric_irreflexive():
@@ -145,6 +147,11 @@ def test_find_friends_past_the_sieve_limit_fails_fast():
 )
 def test_solitary_examples(n, expected):
     assert solitary_certificate(n) is expected
+
+
+def test_solitary_refuses_zero():
+    with pytest.raises(ValueError, match="n must be positive"):
+        solitary_certificate(0)
 
 
 def test_solitary_matches_gcd_criterion():

@@ -182,6 +182,16 @@ def test_factorization_invariants_enforced():
     assert Factorization(()).value == 1
 
 
+def test_factorization_refuses_a_number_below_2_before_any_primality_test(monkeypatch):
+    def no_test(n):
+        raise AssertionError(f"is_prime({n}) was called")
+
+    monkeypatch.setattr(arith, "is_prime", no_test)
+    for p in (1, 0, -5):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            Factorization(((p, 1),))
+
+
 def test_factorize_agrees_with_validated_constructor():
     # factorize skips the checks on its own output; the checked constructor
     # must accept that output unchanged.
@@ -370,3 +380,5 @@ def test_crt_rejects_bad_systems():
         crt([(0, 4), (1, 6)])  # moduli share a factor
     with pytest.raises(ValueError):
         crt([(5, 3)])  # residue out of range
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        crt([(0, 0)])

@@ -84,6 +84,7 @@ def test_check_human_reports_first_rejection(run_cli):
 def test_check_defaults_to_q_equal_one(run_cli):
     result = run_cli("check", "--a", "1")
     assert "RejectedBy(structural)" in result.stdout
+    assert run_cli("check", "--a", "1", "--q-factors", "").stdout == result.stdout
 
 
 # `friendly check` output for one candidate per rule that can reject first.
@@ -209,6 +210,45 @@ def test_every_subcommand_envelope_validates(run_cli):
     ]
     for call in calls:
         envelope_of(run_cli(*call))
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, reason",
+    [
+        (_set(["result", "checksum"], "-1"), "result.checksum: expected a decimal string"),
+        (_set(["result", "index"], "9"), "result.index: expected P/Q"),
+        (_set(["result", "hits"], "10"), "result.hits: expected a list"),
+        (lambda doc: doc["result"].pop("complete"), "result: keys"),
+        (_set(["result", "complete"], 1), "result.complete: expected bool, got int"),
+        (_set(["extra"], 0), "envelope keys are"),
+        (_set(["command"], "census"), "unknown command 'census'"),
+        (_set(["elapsed_ms"], -1), "elapsed_ms must be a non-negative integer"),
+        (_set(["inputs", "bound"], 100), "inputs must be a string-to-string mapping"),
+    ],
+)
+def test_validate_envelope_refuses_each_malformed_part(mutate, reason):
+    doc = {
+        "command": "scan",
+        "inputs": {"bound": "100", "index": "9/5", "workers": "1", "segment_size": "1048576"},
+        "result": {
+            "bound": "100", "index": "9/5", "hits": ["10"], "scanned_count": "99", "checksum": "4",
+            "segments_done": "1", "segments_total": "1", "frontier": "100", "complete": True,
+        },
+        "elapsed_ms": 3,
+    }
+    validate_envelope(doc)
+    mutate(doc)
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        validate_envelope(doc)
 
 
 # --- scan subcommand -----------------------------------------------------------
@@ -388,6 +428,9 @@ def test_workers_past_the_cap_are_a_usage_error(monkeypatch, capsys):
         (("check", "--a", "1"), "--q-factors", "7,3^2", "Q must be odd and coprime to 15; '7,3^2' has the prime 3"),
         (("scan", "--index", "9/5"), "--bound", "1", "bound must be >= 2 to scan [1, bound), got '1'"),
         (("scan", "--index", "9/5"), "--bound", "0", "bound must be >= 2 to scan [1, bound), got '0'"),
+        (("scan", "--bound", "100"), "--index", "9", "index must be written as P/Q, got '9'"),
+        (("check", "--a", "1"), "--q-factors", "1", "1 is not prime in '1'"),
+        (("check", "--a", "1"), "--q-factors", "0", "0 is not prime in '0'"),
     ],
 )
 def test_usage_error_keeps_the_parsers_reason(run_cli, args, flag, value, reason):

@@ -8,7 +8,7 @@ import pytest
 
 from friendly import abundancy
 from friendly.abundancy import abundancy_index
-from friendly.arith import Factorization, factorize, sigma, sigma_prime_power
+from friendly.arith import Factorization, factorize, is_prime, sigma, sigma_prime_power
 from friendly.friend10 import (
     TARGET_INDEX,
     Candidate,
@@ -113,6 +113,13 @@ def test_sigma5_mod8_matches_direct_computation():
 def test_sigma5_mod8_rejects_zero():
     with pytest.raises(ValueError):
         sigma5_mod8(0)
+
+
+def test_a_half_exponent_of_0_is_refused():
+    for call in (lambda: divides_sigma_even_power(7, 11, 0), lambda: am_gm_sigma_bound(7, 0),
+                 lambda: derive_residue_class(0)):
+        with pytest.raises(ValueError, match="need a >= 1, got 0"):
+            call()
 
 
 # --- order-based divisibility ---------------------------------------------------
@@ -262,6 +269,34 @@ def test_congruence_sum_never_rejects_under_hypothesis():
             assert (s5 + sq) % 8 == (6 if c.a % 2 == 0 else 2)
         else:
             assert outcome.verdict is Verdict.NOT_APPLICABLE
+
+
+def test_mod8_sum_cannot_reject():
+    # sigma(p^2) = 1 + p + p^2 ≡ 1, 3, 5, 7 (mod 8) for p = 7, 17, 11, 13, so
+    # these Q = p give every odd sigma(Q^2) mod 8 against each a mod 4. Exactly
+    # one of the four meets the hypothesis s5 * sq ≡ 5, and it passes.
+    passing_q = {1: 17, 2: 7, 3: 13, 4: 11}
+    for a in (1, 2, 3, 4):
+        for q in (7, 17, 11, 13):
+            sq = sigma_prime_power(q, 2) % 8
+            want = Verdict.PASS if q == passing_q[a] else Verdict.NOT_APPLICABLE
+            assert (sigma5_mod8(a) * sq % 8 == 5) == (want is Verdict.PASS)
+            assert check_rule("mod8_sum", candidate(a, q=q)).verdict is want
+    # A grid beyond candidates_up_to's reach: a = 1..8, Q one prime from 7 to
+    # 397 with exponent 1 to 3, alone or times one of the next five such primes.
+    primes = [p for p in range(7, 398) if is_prime(p)]
+    seen = set()
+    count = 0
+    for a in range(1, 9):
+        for i, p in enumerate(primes):
+            for e in (1, 2, 3):
+                for rest in [()] + [((r, 1),) for r in primes[i + 1 : i + 6]]:
+                    verdict = check_rule("mod8_sum", Candidate(a, Factorization(((p, e),) + rest))).verdict
+                    assert verdict is not Verdict.REJECT
+                    seen.add((a % 4, verdict))
+                    count += 1
+    assert count == 10_440
+    assert seen == {(r, v) for r in range(4) for v in (Verdict.PASS, Verdict.NOT_APPLICABLE)}
 
 
 # --- bounds -------------------------------------------------------------------------

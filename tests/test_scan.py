@@ -346,7 +346,7 @@ def test_scan_range_matches_the_whole_array_across_block_edges(lo):
         assert n0 is None or n0 in record.hits
 
 
-def test_scan_range_memory_does_not_grow_with_width():
+def test_scan_range_peak_at_2_22_is_within_one_block_of_2_20_and_under_8_mib():
     block_bytes = BLOCK * 8  # one int64 block buffer
     scan_range(10 ** 12, 10 ** 12 + 2 ** 22, Fraction(9, 5))  # caches the base primes and the wheel
     for lo in (1, 10 ** 12):
@@ -483,6 +483,8 @@ def test_scan_refuses_a_wide_segment_or_bad_target_before_any_file(tmp_path):
             scan(100, target, checkpoint_path=checkpoint)
     with pytest.raises(ValueError, match="bound must be >= 2"):
         scan(1, Fraction(2), checkpoint_path=checkpoint)
+    with pytest.raises(ValueError, match="segment_size must be positive"):
+        scan(100, Fraction(2), segment_size=0, checkpoint_path=checkpoint)
     assert list(tmp_path.iterdir()) == []
     # A segment is only as wide as the values it covers.
     assert scan(1000, Fraction(2), segment_size=1 << 40).hits == (6, 28, 496)
@@ -593,6 +595,14 @@ def test_checkpoint_truncated_file_reports_offset(tmp_path):
         checkpoint_load(path)
     assert isinstance(info.value.offset, int)
     assert "byte" in str(info.value)
+
+
+def test_checkpoint_that_is_not_an_object_is_corrupt_at_byte_0(tmp_path):
+    path = tmp_path / "scan.checkpoint"
+    path.write_text("[]")
+    with pytest.raises(CheckpointCorruptError, match="top-level value is not an object at byte 0") as info:
+        checkpoint_load(path)
+    assert info.value.offset == 0
 
 
 def test_checkpoint_unknown_version_refused(tmp_path):

@@ -17,11 +17,17 @@ from friendly.verify import run_suites
         ("thm31", 414_000),
         ("mod8", 66_650),
         ("bounds", 8_410),
+        ("residue", 1_170),
     ],
 )
 def test_each_suite_makes_its_fixed_number_of_checks(name, checks):
     [result] = run_suites(name)
     assert (result.checks, result.failures) == (checks, 0)
+
+
+def test_an_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suites("nope")
 
 
 def naive_prime_replacement(sigma_prime_power):
