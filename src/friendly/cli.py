@@ -53,12 +53,23 @@ _MAX_PRIME_BITS = 1280
 _MAX_A = 1537
 
 
+def _integer(token: str, text: str) -> int:
+    """int(token), or a usage error naming the token and the argument's text."""
+    try:
+        return int(token)
+    except ValueError:
+        # A token of digits fails only past the 4300 digits int() reads by default.
+        digits = token.strip().lstrip("+-").isdigit()
+        reason = f"is too large: more than {_MAX_BITS} bits" if digits else "is not an integer"
+        raise argparse.ArgumentTypeError(f"{token!r} {reason} in {text!r}") from None
+
+
 def parse_natural(text: str) -> int:
     """Decimal natural number below 2^_MAX_BITS; underscores and a base^exp form are accepted."""
     raw = text.strip().replace("_", "")
     if "^" in raw:
         base_text, _, exp_text = raw.partition("^")
-        base, exp = int(base_text), int(exp_text)
+        base, exp = _integer(base_text, text), _integer(exp_text, text)
         if base < 0 or exp < 0:
             raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
         # base^exp >= 2^(exp (bits(base) - 1)): refused before a power that large is formed.
@@ -66,7 +77,7 @@ def parse_natural(text: str) -> int:
             raise argparse.ArgumentTypeError(f"{text!r} is too large: more than {_MAX_BITS} bits")
         value = base ** exp
     else:
-        value = int(raw)
+        value = _integer(raw, text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
     if value.bit_length() > _MAX_BITS:
@@ -113,7 +124,7 @@ def parse_index(text: str) -> Fraction:
     num, sep, den = text.strip().partition("/")
     if not sep:
         raise argparse.ArgumentTypeError(f"index must be written as P/Q, got {text!r}")
-    p, q = int(num), int(den)
+    p, q = _integer(num, text), _integer(den, text)
     if q == 0:
         raise argparse.ArgumentTypeError(f"index denominator must be nonzero, got {text!r}")
     index = Fraction(p, q)
@@ -131,7 +142,7 @@ def parse_q_factors(text: str) -> Factorization:
     pairs = []
     for chunk in text.split(","):
         prime, sep, exp = chunk.strip().partition("^")
-        pairs.append((int(prime), int(exp) if sep else 1))
+        pairs.append((_integer(prime, text), _integer(exp, text) if sep else 1))
     too_large = argparse.ArgumentTypeError(f"Q is too large: more than {_MAX_BITS} bits in {text!r}")
     # Q >= 2^(e (bits(p) - 1)) over its p^e: refused before a primality test or a power that large.
     if sum(e * (p.bit_length() - 1) for p, e in pairs if e > 0) > _MAX_BITS:
@@ -263,7 +274,7 @@ def _cmd_scan(ns):
         inputs["resume"] = str(ns.resume)
     listing = "[" + ", ".join(str(h) for h in outcome.hits) + "]"
     lines = [
-        f"scanned [1, {outcome.bound}) for index {_fraction_str(outcome.target_index)}",
+        f"scanned [1, {ns.bound}) for index {_fraction_str(ns.index)}",
         f"segments: {outcome.segments_done}/{outcome.segments_total}",
         f"scanned_count: {outcome.scanned_count}",
         f"checksum: {outcome.checksum}",
@@ -272,8 +283,8 @@ def _cmd_scan(ns):
     return (
         inputs,
         {
-            "bound": str(outcome.bound),
-            "index": _fraction_str(outcome.target_index),
+            "bound": str(ns.bound),
+            "index": _fraction_str(ns.index),
             "hits": [str(h) for h in outcome.hits],
             "scanned_count": str(outcome.scanned_count),
             "checksum": str(outcome.checksum),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -87,11 +87,11 @@ class CheckpointMismatchError(CheckpointError):
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One scanned segment [lo, hi) and everything found in it."""
+    """One scanned segment [lo, hi) and what was found in it; the index it was
+    scanned for is the scan's, held by the checkpoint and the driver."""
 
     lo: int
     hi: int
-    target_index: Fraction
     hits: tuple[int, ...]
     elapsed: int  # milliseconds
     checksum: int  # sum of sigma(n) over the segment, mod 2^64
@@ -135,14 +135,7 @@ def scan_range(lo: int, hi: int, target: Fraction) -> ScanRecord:
     hits = tuple(h for h in raw if _is_hit(h, num, den))
     checksum &= _U64
     elapsed = int((time.perf_counter() - started) * 1000)
-    return ScanRecord(
-        lo=lo,
-        hi=hi,
-        target_index=target,
-        hits=hits,
-        elapsed=elapsed,
-        checksum=checksum,
-    )
+    return ScanRecord(lo=lo, hi=hi, hits=hits, elapsed=elapsed, checksum=checksum)
 
 
 def index_hits(sig: np.ndarray, lo: int, num: int, den: int) -> list[int]:
@@ -182,15 +175,17 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(int(num), int(den or "1"))
 
 
-def record_to_json(rec: ScanRecord) -> str:
-    """One ScanRecord as a JSON object with integers as decimal strings."""
+def record_to_json(rec: ScanRecord, target: Fraction) -> str:
+    """One ScanRecord of a scan for ``target`` as a JSON object with integers as decimal strings.
+
+    The line names the index, so that a line from another run is caught.
+    """
     return json.dumps(
         {
             "lo": str(rec.lo),
             "hi": str(rec.hi),
-            "target_index": _fraction_str(rec.target_index),
+            "target_index": _fraction_str(target),
             "hits": [str(h) for h in rec.hits],
-            "scanned_count": str(rec.scanned_count),
             "elapsed": str(rec.elapsed),
             "checksum": str(rec.checksum),
         }
@@ -200,65 +195,60 @@ def record_to_json(rec: ScanRecord) -> str:
 def record_from_json(line: Union[str, bytes], cp: Checkpoint) -> ScanRecord:
     """Decode one record; ValueError if it contradicts itself or is no segment of cp's scan.
 
-    Refused: a count that is not hi - lo; hits outside [lo, hi) or not
-    strictly ascending; a checksum outside [0, 2^64); a segment off cp's grid
-    or an index not cp's; a hit whose index is not exactly the record's. The
-    grid is checked before any hit is factored: ``scan`` refuses a bound
-    past ``sieve.check_height``, so each hit on its grid is quick to factor.
+    Refused: hits outside [lo, hi) or not strictly ascending; a checksum
+    outside [0, 2^64); a segment off cp's grid or an index not cp's; a hit
+    whose index is not exactly cp's. The grid is checked before any hit is
+    factored: ``scan`` refuses a bound past ``sieve.check_height``, so each
+    hit on its grid is quick to factor. A ``scanned_count`` key, which lines
+    written before it was dropped carry, is ignored.
     """
     doc = json.loads(line)
     rec = ScanRecord(
         lo=int(doc["lo"]),
         hi=int(doc["hi"]),
-        target_index=_parse_fraction(doc["target_index"]),
         hits=tuple(int(h) for h in doc["hits"]),
         elapsed=int(doc["elapsed"]),
         checksum=int(doc["checksum"]),
     )
-    count = int(doc["scanned_count"])
-    if count != rec.scanned_count:
-        raise ValueError(f"scanned_count {count} is not hi - lo = {rec.scanned_count}")
+    target = _parse_fraction(doc["target_index"])
     if not all(rec.lo <= h < rec.hi for h in rec.hits):
         raise ValueError(f"a hit in {list(rec.hits)} lies outside [{rec.lo}, {rec.hi})")
     if any(h >= k for h, k in zip(rec.hits, rec.hits[1:])):
         raise ValueError(f"hits {list(rec.hits)} are not strictly ascending")
     if not 0 <= rec.checksum <= _U64:
         raise ValueError(f"checksum {rec.checksum} lies outside [0, 2^64)")
-    index = _fraction_str(rec.target_index)
+    index = _fraction_str(target)
     on_grid = rec.lo in _starts(cp.bound, cp.segment_size) and rec.hi == min(rec.lo + cp.segment_size, cp.bound)
-    if not on_grid or rec.target_index != cp.target_index:
+    if not on_grid or target != cp.target_index:
         raise ValueError(f"record [{rec.lo}, {rec.hi}) for index {index} is not a segment of this scan")
-    num, den = rec.target_index.numerator, rec.target_index.denominator
+    num, den = target.numerator, target.denominator
     for h in rec.hits:
         if not _is_hit(h, num, den):
             raise ValueError(f"hit {h} does not have index {index}")
     return rec
 
 
-def read_records(path: Union[str, Path], cp: Checkpoint) -> tuple[list[ScanRecord], int]:
-    """The records of cp's scan in file order, and the byte length of their lines.
+def read_records(path: Union[str, Path], cp: Checkpoint, visit: Callable[[ScanRecord], None]) -> int:
+    """Hand each record of cp's scan to ``visit`` in file order; the byte length of their lines.
 
     A last line without its newline is a write cut short by a crash: it is
     left out, so its segment counts as not scanned, and the length returned
-    ends before it. Any other line that ``record_from_json`` refuses, and a
-    second line for a segment already read, raises CheckpointCorruptError
-    with the line's byte offset.
+    ends before it. Any other line that ``record_from_json`` refuses, or
+    whose record ``visit`` refuses with a ValueError, raises
+    CheckpointCorruptError with the line's byte offset. No record is kept
+    here: a repeated segment is for ``visit`` to refuse.
     """
-    out: dict[int, ScanRecord] = {}  # by lo, in file order
     offset = 0
     with open(path, "rb") as fh:
         for line in fh:
             if not line.endswith(b"\n"):
                 break
             try:
-                rec = record_from_json(line, cp)
-                if rec.lo in out:
-                    raise ValueError(f"a second line for [{rec.lo}, {rec.hi})")
+                visit(record_from_json(line, cp))
             except _DECODE_ERRORS as exc:
                 raise CheckpointCorruptError(str(path), f"refused record ({exc})", offset=offset) from exc
-            out[rec.lo] = rec
             offset += len(line)
-    return list(out.values()), offset
+    return offset
 
 
 @dataclass(frozen=True)
@@ -327,9 +317,6 @@ def _starts(bound: int, segment_size: int) -> range:
 class ScanOutcome:
     """Aggregate state of a scan after this call (including prior resumed work)."""
 
-    target_index: Fraction
-    bound: int
-    segment_size: int
     complete: bool
     frontier: int
     hits: tuple[int, ...]
@@ -345,8 +332,9 @@ def max_workers() -> int:
     return WORKERS_PER_CPU * (os.cpu_count() or 1)
 
 
-def _scan_segment_task(lo: int, hi: int, num: int, den: int) -> ScanRecord:
-    return scan_range(lo, hi, Fraction(num, den))
+def _scan_segment_task(lo: int, hi: int, target: Fraction) -> ScanRecord:
+    """The pool's task: a module-level name, so it pickles even while ``scan_range`` is wrapped."""
+    return scan_range(lo, hi, target)
 
 
 def scan(
@@ -369,12 +357,13 @@ def scan(
     regardless of worker count. ``max_segments`` caps how many segments
     this call processes, which makes interruption testable, and
     ``new_records`` holds the records of only the segments this call scanned.
-    Segments are computed from their index and every record is folded into
-    the totals as it arrives, so besides ``new_records`` the driver keeps per
-    segment only its start, once done, and its hits. A bound too high or a
-    segment too wide to sieve, a target <= 0, a negative ``max_segments``
-    and ``workers`` outside [1, max_workers()] are refused before any file
-    is made.
+    Segments are computed from their index and every record, read back or
+    new, is folded into the totals as it arrives, where a second record for
+    a segment already done is refused; so besides ``new_records`` the driver
+    keeps per segment only its start, once done, and its hits. A bound too
+    high or a segment too wide to sieve, a target <= 0, a negative
+    ``max_segments`` and ``workers`` outside [1, max_workers()] are refused
+    before any file is made.
     """
     target = _positive(target)
     sieve.check_height(bound)
@@ -391,6 +380,8 @@ def scan(
 
     def tally(rec: ScanRecord) -> None:
         nonlocal scanned_count, checksum
+        if rec.lo in done:
+            raise ValueError(f"a second line for [{rec.lo}, {rec.hi})")
         done.add(rec.lo)
         hits.extend(rec.hits)
         scanned_count += rec.scanned_count
@@ -407,9 +398,7 @@ def scan(
                 raise CheckpointMismatchError(
                     f"{checkpoint_path}: written for {stored}, not {params}; refusing to resume"
                 )
-            records, whole = read_records(records_path, params)
-            for rec in records:
-                tally(rec)
+            whole = read_records(records_path, params, tally)
         else:
             open(records_path, "wb").close()
             checkpoint_save(checkpoint_path, params)
@@ -428,7 +417,7 @@ def scan(
             tally(rec)
             new_records.append(rec)
             if records_fh is not None:
-                records_fh.write(record_to_json(rec).encode("utf-8") + b"\n")
+                records_fh.write(record_to_json(rec, target).encode("utf-8") + b"\n")
                 records_fh.flush()
 
         if workers <= 1:
@@ -448,11 +437,7 @@ def scan(
                 pending: set = set()
                 while True:
                     for lo, hi in islice(todo, 2 * workers - len(pending)):
-                        pending.add(
-                            pool.submit(
-                                _scan_segment_task, lo, hi, target.numerator, target.denominator
-                            )
-                        )
+                        pending.add(pool.submit(_scan_segment_task, lo, hi, target))
                     if not pending:
                         break
                     finished, pending = wait(pending, return_when=FIRST_COMPLETED)
@@ -463,9 +448,6 @@ def scan(
             records_fh.close()
 
     return ScanOutcome(
-        target_index=target,
-        bound=bound,
-        segment_size=segment_size,
         complete=len(done) == len(starts),
         # The first segment not done lies within the first len(done) + 1 starts.
         frontier=next((lo for lo in starts if lo not in done), bound),

@@ -291,6 +291,44 @@ def test_scan_resume_via_cli(run_cli, tmp_path):
     assert "refusing to resume" in clash.stderr
 
 
+# The checkpoint and the first five records lines of
+# ``scan --bound 1200 --index 2/1 --segment-size 100 --resume cp``, stopped
+# after five segments, as written when each line still restated hi - lo.
+_OLD_CHECKPOINT = '{\n "version": 2,\n "target_index": "2/1",\n "bound": "1200",\n "segment_size": "100"\n}'
+_OLD_RECORDS = b"".join(
+    b'{"lo": "%d", "hi": "%d", "target_index": "2/1", "hits": [%s], "scanned_count": "100", '
+    b'"elapsed": "%d", "checksum": "%d"}\n' % line
+    for line in [
+        (1, 101, b'"6", "28"', 4, 8299),
+        (101, 201, b"", 0, 24745),
+        (201, 301, b"", 0, 41265),
+        (301, 401, b"", 0, 57625),
+        (401, 501, b'"496"', 0, 73949),
+    ]
+)
+
+
+def test_records_lines_with_a_scanned_count_still_resume(run_cli, tmp_path):
+    path = tmp_path / "cp"
+    records = tmp_path / "cp.records"
+    path.write_text(_OLD_CHECKPOINT)
+    records.write_bytes(_OLD_RECORDS)
+    resumed = run_cli("scan", "--bound", "1200", "--index", "2/1", "--segment-size", "100", "--resume", str(path))
+    assert resumed.returncode == 0, resumed.stderr
+    assert resumed.stdout == (
+        "scanned [1, 1200) for index 2/1\n"
+        "segments: 12/12\n"
+        "scanned_count: 1199\n"
+        "checksum: 1181994\n"
+        "hits: [6, 28, 496]\n"
+    )
+    data = records.read_bytes()
+    assert data.startswith(_OLD_RECORDS)
+    appended = [json.loads(line) for line in data[len(_OLD_RECORDS):].splitlines()]
+    assert [doc["lo"] for doc in appended] == [str(lo) for lo in range(501, 1200, 100)]
+    assert all("scanned_count" not in doc for doc in appended)
+
+
 # --- verify subcommand -----------------------------------------------------------
 
 
@@ -431,14 +469,29 @@ def test_workers_past_the_cap_are_a_usage_error(monkeypatch, capsys):
         (("scan", "--bound", "100"), "--index", "9", "index must be written as P/Q, got '9'"),
         (("check", "--a", "1"), "--q-factors", "1", "1 is not prime in '1'"),
         (("check", "--a", "1"), "--q-factors", "0", "0 is not prime in '0'"),
+        # A token that is not an integer is named with the argument's text.
+        (("sigma",), None, "1x0", "'1x0' is not an integer in '1x0'"),
+        (("sigma",), None, "2^x", "'x' is not an integer in '2^x'"),
+        (("sigma",), None, "^3", "'' is not an integer in '^3'"),
+        (("friends", "6"), "--bound", "1x0", "'1x0' is not an integer in '1x0'"),
+        (("scan", "--index", "9/5"), "--bound", "2^x", "'x' is not an integer in '2^x'"),
+        (("scan", "--bound", "100", "--index", "9/5"), "--segment-size", "^3", "'' is not an integer in '^3'"),
+        (("scan", "--bound", "100"), "--index", "9/5/3", "'5/3' is not an integer in '9/5/3'"),
+        (("check", "--a", "1"), "--q-factors", "7,,11", "'' is not an integer in '7,,11'"),
+        (("check", "--a", "1"), "--q-factors", "7^", "'' is not an integer in '7^'"),
     ],
 )
 def test_usage_error_keeps_the_parsers_reason(run_cli, args, flag, value, reason):
-    name = "FRIENDLY_" + flag[2:].replace("-", "_").upper()
-    for result in (run_cli(*args, flag, value), run_cli(*args, env={name: value})):
+    if flag is None:  # the positional n, which no variable sets
+        runs, where = [run_cli(*args, value)], "argument n"
+    else:
+        name = "FRIENDLY_" + flag[2:].replace("-", "_").upper()
+        runs, where = [run_cli(*args, flag, value), run_cli(*args, env={name: value})], f"argument {flag}"
+    for result in runs:
         assert result.returncode == 2
-        assert f"argument {flag}: {reason}" in result.stderr
+        assert f"{where}: {reason}" in result.stderr
         assert "Traceback" not in result.stderr
+        assert "invalid parse_" not in result.stderr
 
 
 # Inputs whose output str(int) could not write: each is refused before any work.
@@ -455,6 +508,9 @@ _PAST_THE_CAPS = [
     (("check", "--a", "1"), "--q-factors", "7^4987", "Q is too large: more than 14000 bits in '7^4987'"),
     # One bit over the per-prime cap, refused before its primality test.
     (("check", "--a", "1"), "--q-factors", f"7,{2 ** 1280 + 1}", "a prime of Q has more than 1280 bits in '7,"),
+    # Past the 4300 digits that int() reads by default.
+    (("sigma",), None, "9" * 4301, "is too large: more than 14000 bits"),
+    (("check", "--a", "1"), "--q-factors", "7^" + "9" * 4301, "is too large: more than 14000 bits"),
 ]
 
 
