@@ -376,6 +376,13 @@ def check_rule(name: str, c: Candidate) -> RuleResult:
     return RuleResult(name, verdict, detail)
 
 
+# A rule the chain never reached reports one shared, immutable result.
+_SKIPPED = {
+    name: RuleResult(name, Verdict.NOT_APPLICABLE, "skipped after earlier rejection")
+    for name in _RULES
+}
+
+
 def filter_chain(c: Candidate) -> FilterReport:
     """Run every rule in fixed cheapest-first order.
 
@@ -388,9 +395,7 @@ def filter_chain(c: Candidate) -> FilterReport:
     rejected = False
     for name in _RULES:
         if rejected:
-            results.append(
-                RuleResult(name, Verdict.NOT_APPLICABLE, "skipped after earlier rejection")
-            )
+            results.append(_SKIPPED[name])
             continue
         outcome = check_rule(name, c)
         results.append(outcome)

@@ -1,12 +1,13 @@
 """The candidate filter chain and every rule behind it."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from friendly import abundancy
+from friendly import abundancy, cli
 from friendly.abundancy import abundancy_index
 from friendly.arith import Factorization, factorize, is_prime, sigma, sigma_prime_power
 from friendly.friend10 import (
@@ -475,6 +476,18 @@ def test_check_rule_refuses_an_unknown_name():
 # --- the chain ------------------------------------------------------------------------
 
 
+CHAIN = (
+    "structural",
+    "prime_support",
+    "exponent_mod3",
+    "exponent_mod27",
+    "mod8_sum",
+    "nine_exact",
+    "residue_class",
+    "eq1",
+)
+
+
 def test_chain_examples():
     report = filter_chain(candidate(1, q=7 * 11 * 13 * 17 * 19 * 23))
     assert report.overall == "RejectedBy(exponent_mod3)"
@@ -483,16 +496,7 @@ def test_chain_examples():
 
 def test_chain_short_circuits_but_records_everything():
     report = filter_chain(candidate(1, q=7))
-    assert [r.rule for r in report.results] == [
-        "structural",
-        "prime_support",
-        "exponent_mod3",
-        "exponent_mod27",
-        "mod8_sum",
-        "nine_exact",
-        "residue_class",
-        "eq1",
-    ]
+    assert [r.rule for r in report.results] == list(CHAIN)
     assert report.results[0].verdict is Verdict.REJECT
     assert all(r.verdict is Verdict.NOT_APPLICABLE for r in report.results[1:])
 
@@ -517,6 +521,54 @@ def test_chain_first_reject_is_the_named_rule():
             elif r.verdict is Verdict.REJECT:
                 assert r.rule == rule
                 seen_reject = True
+
+
+def fresh_chain(c):
+    """The chain replayed rule by rule, with a new result for each skipped rule."""
+    results, rejected = [], False
+    for name in CHAIN:
+        if rejected:
+            results.append(RuleResult(name, Verdict.NOT_APPLICABLE, "skipped after earlier rejection"))
+            continue
+        results.append(check_rule(name, c))
+        rejected = results[-1].verdict is Verdict.REJECT
+    return FilterReport(candidate=c.label, results=tuple(results))
+
+
+def test_shared_skipped_results_equal_fresh_ones():
+    rng = random.Random(25)
+    pool = [p for p in range(7, 114) if is_prime(p)]
+    seen = set()
+    for _ in range(3000):
+        primes = sorted(rng.sample(pool, rng.randint(5, 8)))
+        pairs = tuple((p, rng.choice((1, 1, 1, 2, 13))) for p in primes)
+        c = Candidate(rng.randint(1, 4), Factorization(pairs))
+        report = filter_chain(c)
+        assert report == fresh_chain(c), c.label
+        seen.add(report.rejected_by)
+    # exponent_mod27 and mod8_sum never reject first (tests above).
+    assert seen == set(CHAIN) - {"exponent_mod27", "mod8_sum"}
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_check_output_is_the_same_with_fresh_skipped_results(monkeypatch, capsys, json_flag):
+    monkeypatch.delenv("FRIENDLY_JSON", raising=False)
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: 0.0)  # elapsed_ms is 0 on both sides
+    for a, q_factors in [
+        ("1", "7"),
+        ("1", "97,101,103,107,109,113"),
+        ("1", "7,11,13,17,19,23"),
+        ("2", "7,11,13,17,19,23"),
+        ("2", "7,11,13,17,23,29"),
+        ("2", "7,11,13,17,23,71"),
+    ]:
+        args = ["check", "--a", a, "--q-factors", q_factors, *json_flag]
+        assert cli.main(args) == 0
+        shared = capsys.readouterr().out
+        with monkeypatch.context() as m:
+            m.setattr(cli, "filter_chain", fresh_chain)
+            assert cli.main(args) == 0
+        assert capsys.readouterr().out == shared, args
 
 
 def test_all_thirteen_family_rejected_by_mod3_first():

@@ -1,6 +1,7 @@
 """The verify suites: fixed check counts, and failures reported, not hidden."""
 
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -71,4 +72,83 @@ def test_prime_replacement_reports_an_injected_fault_as_a_naive_loop_does(monkey
     verify._lemma21_prime_replacement(tally)
     checks, failures, notes = naive_prime_replacement(faulty)
     assert (checks, failures) == (1_758_060, 174_734)
+    assert (tally.checks, tally.failures, list(tally.notes)) == (checks, failures, notes)
+
+
+def test_prop22_reports_an_injected_fault(monkeypatch):
+    real = verify.sigma5_mod8
+    monkeypatch.setattr(verify, "sigma5_mod8", lambda a: 5 if a == 9999 else real(a))
+    result = verify.verify_prop22()
+    assert (result.checks, result.failures, result.notes) == (
+        10_000,
+        1,
+        ("a=9999: classifier 5 != direct 3",),
+    )
+
+
+def test_thm31_reports_an_injected_fault(monkeypatch):
+    real = verify.divides_sigma_even_power
+
+    def flipped(p, q, a):
+        return real(p, q, a) != ((p, q, a) == (7, 2, 1))
+
+    monkeypatch.setattr(verify, "divides_sigma_even_power", flipped)
+    result = verify.verify_thm31()
+    assert (result.checks, result.failures, result.notes) == (
+        414_000,
+        1,
+        ("p=7 q=2 a=1: predicted False, direct True",),
+    )
+
+
+def test_weak_multiplicativity_reports_an_injected_fault_as_a_naive_loop_does(monkeypatch):
+    real = verify.abundancy_index
+
+    def faulty(k):
+        return real(k) + (Fraction(1, 10 ** 9) if k == 77 else 0)
+
+    monkeypatch.setattr(verify, "abundancy_index", faulty)
+    tally = verify.SuiteResult("lemma21")
+    verify._lemma21_weak_multiplicativity(tally)
+    checks, failures, notes = 0, 0, []
+    for m in range(1, 301):
+        for n in range(m, 301):
+            if math.gcd(m, n) == 1:
+                checks += 1
+                if faulty(m * n) != faulty(m) * faulty(n):
+                    failures += 1
+                    if len(notes) < 8:
+                        notes.append(f"I({m}*{n}) != I({m})*I({n})")
+    assert (checks, failures, notes[0]) == (27_398, 234, "I(2*77) != I(2)*I(77)")
+    assert (tally.checks, tally.failures, list(tally.notes)) == (checks, failures, notes)
+
+
+def test_strict_bound_reports_an_injected_fault_as_a_naive_loop_does(monkeypatch):
+    real = verify.sigma
+
+    def faulty(f):
+        # sigma(6) = 12 becomes 18 = 6 * (2/1) * (3/2), the ceiling itself.
+        return real(f) + (6 if f.value == 6 else 0)
+
+    monkeypatch.setattr(verify, "sigma", faulty)
+    tally = verify.SuiteResult("lemma21")
+    verify._lemma21_strict_bound(tally)
+    # Divisor sums and support products by sieving, with no factorization.
+    limit = 10 ** 5
+    sigmas, num, den = [0] * (limit + 1), [1] * (limit + 1), [1] * (limit + 1)
+    for d in range(1, limit + 1):
+        for k in range(d, limit + 1, d):
+            sigmas[k] += d
+        if d > 1 and num[d] == 1:  # d is prime
+            for k in range(d, limit + 1, d):
+                num[k] *= d
+                den[k] *= d - 1
+    checks, failures, notes = 0, 0, []
+    for n in range(2, limit + 1):
+        checks += 1
+        if (sigmas[n] + (6 if n == 6 else 0)) * den[n] >= n * num[n]:
+            failures += 1
+            if len(notes) < 8:
+                notes.append(f"I({n}) does not sit strictly below its support ceiling")
+    assert (checks, failures) == (99_999, 1)
     assert (tally.checks, tally.failures, list(tally.notes)) == (checks, failures, notes)
