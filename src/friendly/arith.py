@@ -7,11 +7,11 @@ The one piece of shared state is a smallest-prime-factor table: an
 ``array`` of 2-byte entries (a composite below 2^32 has its smallest prime
 factor below 2^16), with the primes below the same limit taken from the
 same sieve. It is built on first use at 2^17 entries, the first power of
-two above 10^5, so that every n the verify suites factor is a table walk.
-It grows under a lock, at least doubling each time, and is read-only
-between growths. Below its limit ``factorize`` walks the table and
-``is_prime`` is one lookup; above it, trial division by the primes plus
-Brent's rho is the only path.
+two above 10^5, so that verify's lemma21 suite reads sigma(n) for every
+n up to 10^5 from one walk of it. It grows under a lock, at least
+doubling each time, and is read-only between growths. Below its limit
+``factorize`` walks the table and ``is_prime`` is one lookup; above it,
+trial division by the primes plus Brent's rho is the only path.
 """
 
 from __future__ import annotations
@@ -110,8 +110,9 @@ def is_prime(n: int) -> bool:
     return _miller_rabin(n, _WITNESSES + extra)
 
 
-# The table's least size: the first power of two above 10^5, so every n the
-# verify suites factor (up to 10^5) is one table walk after the first call.
+# The table's least size: the first power of two above 10^5, so verify's
+# lemma21 suite walks one table for every n up to 10^5, and every n below
+# it is factored by a table walk and tested prime by one lookup.
 _TABLE_MIN = 1 << 17
 
 _table_lock = threading.Lock()

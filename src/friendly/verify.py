@@ -5,6 +5,12 @@ brute-force computation over its full stated range and reports check and
 failure counts. They exist so a broken optimization anywhere in the library
 shows up as a nonzero failure count rather than a silent wrong answer.
 
+lemma21 takes sigma(n) and the support of every n up to 10^5 from one walk
+of arith's smallest-prime-factor table, by exact integer recurrences, and
+decides each index comparison on integers: the statement about fractions
+multiplied through by its denominators. tests/test_verify.py holds that
+table to ``sigma(factorize(n))`` and to ``abundancy_index``.
+
 The ranges are fixed, so every run makes the same checks:
 
 - lemma21: coprime pairs up to 300, n up to 1000 times 2..10, supports of
@@ -23,12 +29,15 @@ import bisect
 import math
 import operator
 import time
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .abundancy import abundancy_index
-from .arith import factorize, primes_below, sigma, sigma_prime_power
+from .abundancy import (
+    abundancy_index,  # not called here; perfbench/tracer.py wraps friendly.verify.abundancy_index
+)
+from .arith import _grow_table, factorize, primes_below, sigma_prime_power
 from .friend10 import (
     am_gm_sigma_bound,
     divides_sigma_even_power,
@@ -141,36 +150,55 @@ def verify_mod8() -> SuiteResult:
     return t
 
 
-def _lemma21_weak_multiplicativity(t: SuiteResult) -> None:
-    cache: dict[int, tuple[int, int]] = {}
+def _lemma21_table(limit: int) -> tuple[array, array, array]:
+    """sigma(n), and n's support ceiling prod p/(p - 1) over the primes p
+    dividing n as nums[n]/dens[n], for every 1 <= n <= limit (entry 0 is
+    unused), from one walk of arith's smallest-prime-factor table.
 
-    def index(k: int) -> tuple[int, int]:
-        val = cache.get(k)
-        if val is None:
-            i = abundancy_index(k)
-            val = cache[k] = (i.numerator, i.denominator)
-        return val
+    With p the smallest prime factor of n, m = n / p and r the part of n
+    prime to p, sigma(n) = p * sigma(m) + sigma(r), because sigma(p^k) =
+    p * sigma(p^(k-1)) + 1. When p does not divide m, r = m and this is
+    sigma(m) * (p + 1), and only then does the support gain p.
+    """
+    spf, _ = _grow_table(limit + 1)
+    sigmas = array("q", [1]) * (limit + 1)
+    nums = array("q", [1]) * (limit + 1)
+    dens = array("q", [1]) * (limit + 1)
+    for n in range(2, limit + 1):
+        p = spf[n] or n
+        m = n // p
+        if m % p:
+            sigmas[n] = sigmas[m] * (p + 1)
+            nums[n] = nums[m] * p
+            dens[n] = dens[m] * (p - 1)
+        else:
+            r = m // p
+            while r % p == 0:
+                r //= p
+            sigmas[n] = p * sigmas[m] + sigmas[r]
+            nums[n] = nums[m]
+            dens[n] = dens[m]
+    return sigmas, nums, dens
 
+
+def _lemma21_weak_multiplicativity(t: SuiteResult, sigmas: array) -> None:
     for m in range(1, 301):
         for n in range(m, 301):
             if math.gcd(m, n) != 1:
                 continue
             t.checks += 1
-            # Denominators are positive, so a/b == (c/d) * (e/f) exactly
-            # when a * d * f == b * c * e.
-            (a, b), (c, d), (e, f) = index(m * n), index(m), index(n)
-            if a * d * f != b * c * e:
+            # I(mn) == I(m) * I(n), multiplied through by mn.
+            if sigmas[m * n] != sigmas[m] * sigmas[n]:
                 t.fail(f"I({m}*{n}) != I({m})*I({n})")
 
 
-def _lemma21_monotone(t: SuiteResult) -> None:
-    # Only the indices the loop reads: n <= 1000 and alpha * n.
-    cache = {k: abundancy_index(k) for k in {a * n for n in range(1, 1001) for a in range(1, 11)}}
+def _lemma21_monotone(t: SuiteResult, sigmas: array) -> None:
     for n in range(1, 1001):
-        base = cache[n]
+        s = sigmas[n]
         for alpha in range(2, 11):
             t.checks += 1
-            if not cache[alpha * n] > base:
+            # I(alpha * n) > I(n), multiplied through by alpha * n.
+            if not sigmas[alpha * n] > alpha * s:
                 t.fail(f"I({alpha}*{n}) is not above I({n})")
 
 
@@ -215,16 +243,12 @@ def _lemma21_prime_replacement(t: SuiteResult) -> None:
                             t.fail(f"I({small}^{ex}) < I({large}^{ex})")
 
 
-def _lemma21_strict_bound(t: SuiteResult) -> None:
-    t.checks += 10 ** 5 - 1
-    for n in range(2, 10 ** 5 + 1):
-        f = factorize(n)
-        num = den = 1
-        for p, _ in f.pairs:
-            num *= p
-            den *= p - 1
-        # sigma(n)/n < num/den, strictly
-        if sigma(f) * den >= n * num:
+def _lemma21_strict_bound(t: SuiteResult, sigmas: array, nums: array, dens: array) -> None:
+    t.checks += len(sigmas) - 2
+    for n in range(2, len(sigmas)):
+        # sigma(n)/n < prod p/(p - 1), strictly, multiplied through by
+        # n * prod (p - 1)
+        if sigmas[n] * dens[n] >= n * nums[n]:
             t.fail(f"I({n}) does not sit strictly below its support ceiling")
 
 
@@ -235,10 +259,11 @@ def verify_lemma21() -> SuiteResult:
     to 3, and the strict support ceiling for n up to 10^5 (n = 1 has empty
     support and is skipped)."""
     t = SuiteResult("lemma21")
-    _lemma21_weak_multiplicativity(t)
-    _lemma21_monotone(t)
+    sigmas, nums, dens = _lemma21_table(10 ** 5)
+    _lemma21_weak_multiplicativity(t, sigmas)
+    _lemma21_monotone(t, sigmas)
     _lemma21_prime_replacement(t)
-    _lemma21_strict_bound(t)
+    _lemma21_strict_bound(t, sigmas, nums, dens)
     return t
 
 

@@ -86,3 +86,28 @@ def test_cli_import_binds_every_name_the_tracer_wraps():
         "assert not missing, missing\n"
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_the_tracer_installs_and_restores_after_the_cli_import():
+    # Tracer.install reaches each (module, attribute) of SPANS and COUNTS by
+    # getattr, so a name the program stops binding breaks every traced
+    # benchmark run. Runs the real tracer, which changes nothing on disk.
+    perfbench = SRC.parent / "perfbench"
+    result = run_python(
+        "import sys\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "import friendly.cli\n"
+        "from tracer import COUNTS, SPANS, Tracer\n"
+        "tracer = Tracer('test')\n"
+        "tracer.install()\n"
+        "saved = list(tracer._saved)\n"
+        "try:\n"
+        "    assert len(saved) == len(SPANS) + len(COUNTS) > 10, saved\n"
+        "    unwrapped = [(m.__name__, a) for m, a, _, w in saved if getattr(m, a) is not w]\n"
+        "    assert not unwrapped, unwrapped\n"
+        "finally:\n"
+        "    tracer.restore()\n"
+        "kept = [(m.__name__, a) for m, a, f, _ in saved if getattr(m, a) is not f]\n"
+        "assert not kept, kept\n"
+    )
+    assert result.returncode == 0, result.stderr

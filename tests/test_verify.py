@@ -7,6 +7,8 @@ from itertools import combinations, product
 import pytest
 
 from friendly import verify
+from friendly.abundancy import abundancy_index
+from friendly.arith import factorize, sigma
 from friendly.verify import run_suites
 
 
@@ -101,15 +103,31 @@ def test_thm31_reports_an_injected_fault(monkeypatch):
     )
 
 
-def test_weak_multiplicativity_reports_an_injected_fault_as_a_naive_loop_does(monkeypatch):
-    real = verify.abundancy_index
+def test_lemma21_table_matches_factorize_and_the_library_index():
+    sigmas, nums, dens = verify._lemma21_table(10 ** 5)
+    assert len(sigmas) == 10 ** 5 + 1
+    for n in range(1, 10 ** 5 + 1):
+        f = factorize(n)
+        assert sigmas[n] == sigma(f), n
+        assert (nums[n], dens[n]) == (math.prod(f.primes), math.prod(p - 1 for p in f.primes)), n
+        assert abundancy_index(n) == Fraction(sigmas[n], n), n
+
+
+def lemma21_table_with(n, value):
+    """The lemma21 table with sigma(n) replaced by value."""
+    sigmas, nums, dens = verify._lemma21_table(10 ** 5)
+    sigmas[n] = value
+    return sigmas, nums, dens
+
+
+def test_weak_multiplicativity_reports_an_injected_fault_as_a_naive_loop_does():
+    sigmas, _, _ = lemma21_table_with(77, 96 + 1)  # sigma(77) = 1 + 7 + 11 + 77
+    tally = verify.SuiteResult("lemma21")
+    verify._lemma21_weak_multiplicativity(tally, sigmas)
 
     def faulty(k):
-        return real(k) + (Fraction(1, 10 ** 9) if k == 77 else 0)
+        return abundancy_index(k) + (Fraction(1, 77) if k == 77 else 0)
 
-    monkeypatch.setattr(verify, "abundancy_index", faulty)
-    tally = verify.SuiteResult("lemma21")
-    verify._lemma21_weak_multiplicativity(tally)
     checks, failures, notes = 0, 0, []
     for m in range(1, 301):
         for n in range(m, 301):
@@ -123,16 +141,31 @@ def test_weak_multiplicativity_reports_an_injected_fault_as_a_naive_loop_does(mo
     assert (tally.checks, tally.failures, list(tally.notes)) == (checks, failures, notes)
 
 
-def test_strict_bound_reports_an_injected_fault_as_a_naive_loop_does(monkeypatch):
-    real = verify.sigma
-
-    def faulty(f):
-        # sigma(6) = 12 becomes 18 = 6 * (2/1) * (3/2), the ceiling itself.
-        return real(f) + (6 if f.value == 6 else 0)
-
-    monkeypatch.setattr(verify, "sigma", faulty)
+def test_monotone_reports_an_injected_fault_as_a_naive_loop_does():
+    # sigma(20) = 42 becomes 36, so I(20) = 36/20 = I(10) exactly.
+    sigmas, _, _ = lemma21_table_with(20, 36)
     tally = verify.SuiteResult("lemma21")
-    verify._lemma21_strict_bound(tally)
+    verify._lemma21_monotone(tally, sigmas)
+
+    def faulty(k):
+        return Fraction(36, 20) if k == 20 else abundancy_index(k)
+
+    checks, failures, notes = 0, 0, []
+    for n in range(1, 1001):
+        for alpha in range(2, 11):
+            checks += 1
+            if not faulty(alpha * n) > faulty(n):
+                failures += 1
+                if len(notes) < 8:
+                    notes.append(f"I({alpha}*{n}) is not above I({n})")
+    assert (checks, failures, notes) == (9_000, 1, ["I(2*10) is not above I(10)"])
+    assert (tally.checks, tally.failures, list(tally.notes)) == (checks, failures, notes)
+
+
+def test_strict_bound_reports_an_injected_fault_as_a_naive_loop_does():
+    # sigma(6) = 12 becomes 18 = 6 * (2/1) * (3/2), the ceiling itself.
+    tally = verify.SuiteResult("lemma21")
+    verify._lemma21_strict_bound(tally, *lemma21_table_with(6, 18))
     # Divisor sums and support products by sieving, with no factorization.
     limit = 10 ** 5
     sigmas, num, den = [0] * (limit + 1), [1] * (limit + 1), [1] * (limit + 1)
