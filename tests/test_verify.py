@@ -35,9 +35,10 @@ def test_an_unknown_suite_is_refused():
 
 def naive_prime_replacement(sigma_prime_power):
     """Every ordered pair of supports of up to 3 primes below 50, kept when
-    one dominates the other, compared by cross-multiplication."""
+    one dominates the other, compared by cross-multiplication: the check
+    count and every failure note, in order."""
     primes = [p for p in range(2, 50) if all(p % d for d in range(2, p))]
-    checks, failures, notes = 0, 0, []
+    checks, notes = 0, []
     for length in range(1, 4):
         tuples = list(combinations(primes, length))
         exps = list(product(range(1, 4), repeat=length))
@@ -57,10 +58,8 @@ def naive_prime_replacement(sigma_prime_power):
                     checks += 1
                     (n1, d1), (n2, d2) = index[small, ex], index[large, ex]
                     if n1 * d2 < n2 * d1:
-                        failures += 1
-                        if len(notes) < 8:
-                            notes.append(f"I({small}^{ex}) < I({large}^{ex})")
-    return checks, failures, notes
+                        notes.append(f"I({small}^{ex}) < I({large}^{ex})")
+    return checks, notes
 
 
 def test_prime_replacement_reports_an_injected_fault_as_a_naive_loop_does(monkeypatch):
@@ -69,12 +68,22 @@ def test_prime_replacement_reports_an_injected_fault_as_a_naive_loop_does(monkey
     def faulty(p, e):
         return real(p, e) + (1000 if (p, e) == (47, 1) else 0)
 
+    every_note = []
+    kept_fail = verify.SuiteResult.fail
+
+    def fail(self, note):
+        every_note.append(note)
+        kept_fail(self, note)
+
     monkeypatch.setattr(verify, "sigma_prime_power", faulty)
+    monkeypatch.setattr(verify.SuiteResult, "fail", fail)
     tally = verify.SuiteResult("lemma21")
     verify._lemma21_prime_replacement(tally)
-    checks, failures, notes = naive_prime_replacement(faulty)
-    assert (checks, failures) == (1_758_060, 174_734)
-    assert (tally.checks, tally.failures, list(tally.notes)) == (checks, failures, notes)
+    checks, notes = naive_prime_replacement(faulty)
+    assert (checks, len(notes)) == (1_758_060, 174_734)
+    assert (tally.checks, tally.failures, list(tally.notes)) == (checks, len(notes), notes[:8])
+    # The whole order, not only the first 8 notes, which all fall at length 1.
+    assert every_note == notes
 
 
 def test_prop22_reports_an_injected_fault(monkeypatch):
