@@ -6,12 +6,12 @@ float. Values are immutable and safe to share across workers.
 The one piece of shared state is a smallest-prime-factor table: an
 ``array`` of 2-byte entries (a composite below 2^32 has its smallest prime
 factor below 2^16), with the primes below the same limit taken from the
-same sieve. It is built on first use at 2^17 entries, the first power of
-two above 10^5, so that verify's lemma21 suite reads sigma(n) for every
-n up to 10^5 from one walk of it. It grows under a lock, at least
-doubling each time, and is read-only between growths. Below its limit
-``factorize`` walks the table and ``is_prime`` is one lookup; above it,
-trial division by the primes plus Brent's rho is the only path.
+same sieve. It is built on first use at the size its first caller asks
+for: min(10^6, isqrt(n) + 1) for ``factorize(n)`` past the table, 10^5 + 1
+for verify's lemma21 suite. It grows under a lock, at least doubling each
+time, and is read-only between growths. Below its limit ``factorize``
+walks the table and ``is_prime`` is one lookup; above it, trial division
+by the primes plus Brent's rho is the only path.
 """
 
 from __future__ import annotations
@@ -110,11 +110,6 @@ def is_prime(n: int) -> bool:
     return _miller_rabin(n, _WITNESSES + extra)
 
 
-# The table's least size: the first power of two above 10^5, so verify's
-# lemma21 suite walks one table for every n up to 10^5, and every n below
-# it is factored by a table walk and tested prime by one lookup.
-_TABLE_MIN = 1 << 17
-
 _table_lock = threading.Lock()
 # (spf, primes), swapped whole so readers never see halves of two builds.
 # spf[n] is the smallest prime factor of each composite n < len(spf), and 0
@@ -146,7 +141,7 @@ def _grow_table(limit: int) -> tuple[array, tuple[int, ...]]:
     if limit > len(_table[0]):
         with _table_lock:
             if limit > len(_table[0]):
-                _table = _build_table(max(limit, 2 * len(_table[0]), _TABLE_MIN))
+                _table = _build_table(max(limit, 2 * len(_table[0])))
     return _table
 
 

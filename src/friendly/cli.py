@@ -161,6 +161,13 @@ def parse_q_factors(text: str) -> Factorization:
     return q
 
 
+def _parse_checkpoint_path(text: str) -> str:
+    """A checkpoint path: any text but the empty one, which names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("checkpoint path must not be empty")
+    return text
+
+
 def _option(parser: argparse.ArgumentParser, flag: str, *, required: bool = False, **kwargs) -> None:
     """Add one flag whose FRIENDLY_<NAME> variable, when set, is its default.
 
@@ -374,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="exhaustive index scan of [1, bound)")
     _option(p, "--bound", type=parse_scan_bound, required=True)
     _option(p, "--index", type=parse_index, required=True, help="target index P/Q")
-    _option(p, "--resume", help="checkpoint path; created if missing")
+    _option(p, "--resume", type=_parse_checkpoint_path, help="checkpoint path; created if missing")
     _option(p, "--workers", type=parse_workers, default=1)
     _option(p, "--segment-size", type=parse_positive, default=DEFAULT_SEGMENT_SIZE)
     common(p, _cmd_scan)

@@ -278,9 +278,11 @@ def checkpoint_save(path: Union[str, Path], cp: Checkpoint) -> None:
 
 
 def checkpoint_load(path: Union[str, Path]) -> Checkpoint:
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CheckpointCorruptError(str(path), f"not UTF-8 ({exc.reason})", offset=exc.start) from exc
     except json.JSONDecodeError as exc:
         raise CheckpointCorruptError(str(path), exc.msg, offset=exc.pos) from exc
     if not isinstance(doc, dict):

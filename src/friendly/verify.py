@@ -5,11 +5,12 @@ brute-force computation over its full stated range and reports check and
 failure counts. They exist so a broken optimization anywhere in the library
 shows up as a nonzero failure count rather than a silent wrong answer.
 
-lemma21 takes sigma(n) and the support of every n up to 10^5 from one walk
-of arith's smallest-prime-factor table, by exact integer recurrences, and
-decides each index comparison on integers: the statement about fractions
-multiplied through by its denominators. tests/test_verify.py holds that
-table to ``sigma(factorize(n))`` and to ``abundancy_index``.
+lemma21 takes sigma(n) and Euler's phi(n) of every n up to 10^5 from one
+walk of arith's smallest-prime-factor table, by exact integer recurrences,
+reads n's support ceiling prod p/(p - 1) as n/phi(n), and decides each
+index comparison on integers: the statement about fractions multiplied
+through by its denominators. tests/test_verify.py holds that table to
+``factorize(n)`` and to ``abundancy_index``.
 
 The ranges are fixed, so every run makes the same checks:
 
@@ -149,35 +150,30 @@ def verify_mod8() -> SuiteResult:
     return t
 
 
-def _lemma21_table(limit: int) -> tuple[array, array, array]:
-    """sigma(n), and n's support ceiling prod p/(p - 1) over the primes p
-    dividing n as nums[n]/dens[n], for every 1 <= n <= limit (entry 0 is
+def _lemma21_table(limit: int) -> tuple[array, array]:
+    """sigma(n) and Euler's phi(n) for every 1 <= n <= limit (entry 0 is
     unused), from one walk of arith's smallest-prime-factor table.
 
-    With p the smallest prime factor of n, m = n / p and r the part of n
-    prime to p, sigma(n) = p * sigma(m) + sigma(r), because sigma(p^k) =
-    p * sigma(p^(k-1)) + 1. When p does not divide m, r = m and this is
-    sigma(m) * (p + 1), and only then does the support gain p.
+    With p the smallest prime factor of n and m = n / p: when p does not
+    divide m, both are multiplicative, so sigma(n) = sigma(m) * (p + 1) and
+    phi(n) = phi(m) * (p - 1). When p divides m, phi(n) = phi(m) * p and
+    sigma(n) = (p + 1) * sigma(m) - p * sigma(m / p), because sigma(p^k) =
+    (p + 1) * sigma(p^(k-1)) - p * sigma(p^(k-2)) and both sides share the
+    part of n prime to p. n/phi(n) is n's support ceiling prod p/(p - 1).
     """
     spf, _ = _grow_table(limit + 1)
     sigmas = array("q", [1]) * (limit + 1)
-    nums = array("q", [1]) * (limit + 1)
-    dens = array("q", [1]) * (limit + 1)
+    phis = array("q", [1]) * (limit + 1)
     for n in range(2, limit + 1):
         p = spf[n] or n
         m = n // p
         if m % p:
             sigmas[n] = sigmas[m] * (p + 1)
-            nums[n] = nums[m] * p
-            dens[n] = dens[m] * (p - 1)
+            phis[n] = phis[m] * (p - 1)
         else:
-            r = m // p
-            while r % p == 0:
-                r //= p
-            sigmas[n] = p * sigmas[m] + sigmas[r]
-            nums[n] = nums[m]
-            dens[n] = dens[m]
-    return sigmas, nums, dens
+            sigmas[n] = (p + 1) * sigmas[m] - p * sigmas[m // p]
+            phis[n] = phis[m] * p
+    return sigmas, phis
 
 
 def _lemma21_weak_multiplicativity(t: SuiteResult, sigmas: array) -> None:
@@ -233,12 +229,12 @@ def _lemma21_prime_replacement(t: SuiteResult) -> None:
                             t.fail(f"I({small}^{ex}) < I({large}^{ex})")
 
 
-def _lemma21_strict_bound(t: SuiteResult, sigmas: array, nums: array, dens: array) -> None:
+def _lemma21_strict_bound(t: SuiteResult, sigmas: array, phis: array) -> None:
     t.checks += len(sigmas) - 2
     for n in range(2, len(sigmas)):
-        # sigma(n)/n < prod p/(p - 1), strictly, multiplied through by
-        # n * prod (p - 1)
-        if sigmas[n] * dens[n] >= n * nums[n]:
+        # sigma(n)/n < n/phi(n) = prod p/(p - 1), strictly, multiplied
+        # through by n * phi(n)
+        if sigmas[n] * phis[n] >= n * n:
             t.fail(f"I({n}) does not sit strictly below its support ceiling")
 
 
@@ -249,11 +245,11 @@ def verify_lemma21() -> SuiteResult:
     to 3, and the strict support ceiling for n up to 10^5 (n = 1 has empty
     support and is skipped)."""
     t = SuiteResult("lemma21")
-    sigmas, nums, dens = _lemma21_table(10 ** 5)
+    sigmas, phis = _lemma21_table(10 ** 5)
     _lemma21_weak_multiplicativity(t, sigmas)
     _lemma21_monotone(t, sigmas)
     _lemma21_prime_replacement(t)
-    _lemma21_strict_bound(t, sigmas, nums, dens)
+    _lemma21_strict_bound(t, sigmas, phis)
     return t
 
 

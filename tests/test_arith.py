@@ -60,12 +60,13 @@ def trial_factor(n):
 
 @pytest.fixture
 def table_limit(monkeypatch):
-    """Start from an empty smallest-prime-factor table, build its least size,
-    and return that limit; the process's own table comes back afterwards."""
+    """Start from an empty smallest-prime-factor table, build it at 2^17
+    entries, and return that limit; the process's own table comes back
+    afterwards."""
     monkeypatch.setattr(arith, "_table", (array("H"), ()))
-    arith.primes_below(2)
+    arith._grow_table(1 << 17)
     limit = len(arith._table[0])
-    assert limit == arith._TABLE_MIN == 1 << 17
+    assert limit == 1 << 17
     return limit
 
 
@@ -255,7 +256,7 @@ def test_factorize_small_n_builds_small_sieve():
     out = subprocess.run(
         [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
     )
-    assert int(out.stdout) == 1 << 17
+    assert int(out.stdout) == math.isqrt(25) + 1 == 6
 
 
 # --- sigma -------------------------------------------------------------------

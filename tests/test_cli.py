@@ -291,6 +291,17 @@ def test_scan_resume_via_cli(run_cli, tmp_path):
     assert "refusing to resume" in clash.stderr
 
 
+def test_scan_resume_from_a_checkpoint_that_is_not_utf8_is_a_domain_error(run_cli, tmp_path):
+    path = tmp_path / "cp"
+    path.write_bytes(b"\xff\xfe" + b'{"version": 2}')
+    human = run_cli("scan", "--bound", "1000", "--index", "9/5", "--resume", str(path))
+    assert human.returncode == 1
+    assert human.stderr == f"error: {path}: not UTF-8 (invalid start byte) at byte 0\n"
+    as_json = run_cli("scan", "--bound", "1000", "--index", "9/5", "--resume", str(path), "--json")
+    assert as_json.returncode == 1
+    assert json.loads(as_json.stdout)["error"]["type"] == "CheckpointCorruptError"
+
+
 # The checkpoint and the first five records lines of
 # ``scan --bound 1200 --index 2/1 --segment-size 100 --resume cp``, stopped
 # after five segments, as written when each line still restated hi - lo.
@@ -479,6 +490,8 @@ def test_workers_past_the_cap_are_a_usage_error(monkeypatch, capsys):
         (("scan", "--bound", "100"), "--index", "9/5/3", "'5/3' is not an integer in '9/5/3'"),
         (("check", "--a", "1"), "--q-factors", "7,,11", "'' is not an integer in '7,,11'"),
         (("check", "--a", "1"), "--q-factors", "7^", "'' is not an integer in '7^'"),
+        # An empty path would name the current directory.
+        (("scan", "--bound", "100", "--index", "9/5"), "--resume", "", "checkpoint path must not be empty"),
     ],
 )
 def test_usage_error_keeps_the_parsers_reason(run_cli, args, flag, value, reason):

@@ -605,6 +605,19 @@ def test_checkpoint_that_is_not_an_object_is_corrupt_at_byte_0(tmp_path):
     assert info.value.offset == 0
 
 
+def test_checkpoint_that_is_not_utf8_is_corrupt_at_its_bad_byte(tmp_path):
+    path = tmp_path / "scan.checkpoint"
+    checkpoint_save(path, Checkpoint(target_index=Fraction(9, 5), bound=1000, segment_size=10))
+    whole = path.read_bytes()
+    for data, offset in [(b"\xff\xfe" + whole, 0), (whole[:20] + b"\xc3" + whole[21:], 20)]:
+        path.write_bytes(data)
+        with pytest.raises(CheckpointCorruptError) as info:
+            checkpoint_load(path)
+        assert info.value.offset == offset
+        assert str(info.value).startswith(f"{path}: not UTF-8 (")
+        assert str(info.value).endswith(f" at byte {offset}")
+
+
 def test_checkpoint_unknown_version_refused(tmp_path):
     path = tmp_path / "scan.checkpoint"
     path.write_text(json.dumps({"version": 99}))

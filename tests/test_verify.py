@@ -113,24 +113,24 @@ def test_thm31_reports_an_injected_fault(monkeypatch):
 
 
 def test_lemma21_table_matches_factorize_and_the_library_index():
-    sigmas, nums, dens = verify._lemma21_table(10 ** 5)
-    assert len(sigmas) == 10 ** 5 + 1
+    sigmas, phis = verify._lemma21_table(10 ** 5)
+    assert len(sigmas) == len(phis) == 10 ** 5 + 1
     for n in range(1, 10 ** 5 + 1):
         f = factorize(n)
         assert sigmas[n] == sigma(f), n
-        assert (nums[n], dens[n]) == (math.prod(f.primes), math.prod(p - 1 for p in f.primes)), n
+        assert phis[n] == math.prod(p ** (e - 1) * (p - 1) for p, e in f), n
         assert abundancy_index(n) == Fraction(sigmas[n], n), n
 
 
 def lemma21_table_with(n, value):
     """The lemma21 table with sigma(n) replaced by value."""
-    sigmas, nums, dens = verify._lemma21_table(10 ** 5)
+    sigmas, phis = verify._lemma21_table(10 ** 5)
     sigmas[n] = value
-    return sigmas, nums, dens
+    return sigmas, phis
 
 
 def test_weak_multiplicativity_reports_an_injected_fault_as_a_naive_loop_does():
-    sigmas, _, _ = lemma21_table_with(77, 96 + 1)  # sigma(77) = 1 + 7 + 11 + 77
+    sigmas, _ = lemma21_table_with(77, 96 + 1)  # sigma(77) = 1 + 7 + 11 + 77
     tally = verify.SuiteResult("lemma21")
     verify._lemma21_weak_multiplicativity(tally, sigmas)
 
@@ -152,7 +152,7 @@ def test_weak_multiplicativity_reports_an_injected_fault_as_a_naive_loop_does():
 
 def test_monotone_reports_an_injected_fault_as_a_naive_loop_does():
     # sigma(20) = 42 becomes 36, so I(20) = 36/20 = I(10) exactly.
-    sigmas, _, _ = lemma21_table_with(20, 36)
+    sigmas, _ = lemma21_table_with(20, 36)
     tally = verify.SuiteResult("lemma21")
     verify._lemma21_monotone(tally, sigmas)
 
@@ -194,3 +194,8 @@ def test_strict_bound_reports_an_injected_fault_as_a_naive_loop_does():
                 notes.append(f"I({n}) does not sit strictly below its support ceiling")
     assert (checks, failures) == (99_999, 1)
     assert (tally.checks, tally.failures, list(tally.notes)) == (checks, failures, notes)
+    # The suite reads the ceiling as n/phi(n): the sieved prod p/(p - 1)
+    # exactly, so both forms give every n the same verdict.
+    _, phis = verify._lemma21_table(limit)
+    for n in range(1, limit + 1):
+        assert phis[n] * num[n] == n * den[n], n
