@@ -1,13 +1,15 @@
 """Command-line surface over the library with stable, scriptable output.
 
 Every subcommand is a thin adapter: the same inputs through the CLI and the
-library produce the same values. Output is a human-readable report by
-default; ``--json`` emits one envelope object with integers rendered as
-decimal strings so arbitrary-precision values survive any JSON parser.
-Options fall back to FRIENDLY_* environment variables; explicit flags win.
+library produce the same values. A handler returns only what it computed, a
+result payload and the lines of a human-readable report; ``main`` prints the
+report, or with ``--json`` one envelope object whose ``inputs`` echo every
+parsed argument, with integers rendered as decimal strings so
+arbitrary-precision values survive any JSON parser. Options fall back to
+FRIENDLY_* environment variables; explicit flags win.
 
-Exit codes: 0 success, 1 domain error (machine-readable with ``--json``),
-2 usage error.
+Exit codes: 0 success, 1 domain error (machine-readable with ``--json``) or a
+result whose ``ok`` is false, 2 usage error.
 """
 
 from __future__ import annotations
@@ -181,38 +183,24 @@ def _option(parser: argparse.ArgumentParser, flag: str, *, required: bool = Fals
 
 
 # --- handlers ---------------------------------------------------------------
-# Each returns (inputs echo, result payload, human lines, exit code).
+# Each returns (result payload, human lines); main echoes the inputs and
+# derives the exit code from the payload's "ok".
 
 
 def _cmd_sigma(ns):
     value = sigma(factorize(ns.n))
-    return (
-        {"n": str(ns.n)},
-        {"sigma": str(value)},
-        [f"sigma({ns.n}) = {value}"],
-        0,
-    )
+    return {"sigma": str(value)}, [f"sigma({ns.n}) = {value}"]
 
 
 def _cmd_index(ns):
-    value = abundancy_index(ns.n)
-    return (
-        {"n": str(ns.n)},
-        {"index": _fraction_str(value)},
-        [f"I({ns.n}) = {_fraction_str(value)}"],
-        0,
-    )
+    value = _fraction_str(abundancy_index(ns.n))
+    return {"index": value}, [f"I({ns.n}) = {value}"]
 
 
 def _cmd_friends(ns):
     hits = find_friends(ns.n, ns.bound)
     listing = "[" + ", ".join(str(h) for h in hits) + "]"
-    return (
-        {"n": str(ns.n), "bound": str(ns.bound)},
-        {"friends": [str(h) for h in hits]},
-        [f"friends of {ns.n} up to {ns.bound}: {listing}"],
-        0,
-    )
+    return {"friends": [str(h) for h in hits]}, [f"friends of {ns.n} up to {ns.bound}: {listing}"]
 
 
 def _cmd_solitary(ns):
@@ -220,10 +208,8 @@ def _cmd_solitary(ns):
     verdict = solitary_certificate(f)
     g = math.gcd(ns.n, sigma(f))
     return (
-        {"n": str(ns.n)},
         {"verdict": verdict.value, "gcd": str(g)},
         [f"{ns.n}: {verdict.value} (gcd(n, sigma(n)) = {g})"],
-        0,
     )
 
 
@@ -241,7 +227,6 @@ def _cmd_check(ns):
         lines.append(f"  {r.rule:<{width}}  {shown:<6}  {r.detail}")
     lines.append(f"overall: {report.overall}")
     return (
-        {"a": str(ns.a), "q_factors": str(ns.q_factors)},
         {
             "candidate": report.candidate,
             "rules": rules,
@@ -249,17 +234,14 @@ def _cmd_check(ns):
             "survives": report.survives,
         },
         lines,
-        0,
     )
 
 
 def _cmd_derive(ns):
     rc = derive_residue_class(ns.a)
     return (
-        {"a": str(ns.a)},
         {"residue": str(rc.residue), "modulus": str(rc.modulus)},
         [f"residue: {rc.residue}", f"modulus: {rc.modulus}"],
-        0,
     )
 
 
@@ -271,14 +253,6 @@ def _cmd_scan(ns):
         segment_size=ns.segment_size,
         checkpoint_path=ns.resume,
     )
-    inputs = {
-        "bound": str(ns.bound),
-        "index": _fraction_str(ns.index),
-        "workers": str(ns.workers),
-        "segment_size": str(ns.segment_size),
-    }
-    if ns.resume:
-        inputs["resume"] = str(ns.resume)
     listing = "[" + ", ".join(str(h) for h in outcome.hits) + "]"
     lines = [
         f"scanned [1, {ns.bound}) for index {_fraction_str(ns.index)}",
@@ -288,7 +262,6 @@ def _cmd_scan(ns):
         f"hits: {listing}",
     ]
     return (
-        inputs,
         {
             "bound": str(ns.bound),
             "index": _fraction_str(ns.index),
@@ -301,7 +274,6 @@ def _cmd_scan(ns):
             "complete": outcome.complete,
         },
         lines,
-        0,
     )
 
 
@@ -324,12 +296,7 @@ def _cmd_verify(ns):
         lines.append(f"{r.name}: {r.checks} checks, {r.failures} failures ({r.elapsed_ms} ms) {status}")
         lines.extend(f"    {note}" for note in r.notes)
     lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
-    return (
-        {"suite": ns.suite},
-        {"suites": suites, "ok": ok},
-        lines,
-        0 if ok else 1,
-    )
+    return {"suites": suites, "ok": ok}, lines
 
 
 # --- parser -----------------------------------------------------------------
@@ -381,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="exhaustive index scan of [1, bound)")
     _option(p, "--bound", type=parse_scan_bound, required=True)
     _option(p, "--index", type=parse_index, required=True, help="target index P/Q")
-    _option(p, "--resume", type=_parse_checkpoint_path, help="checkpoint path; created if missing")
     _option(p, "--workers", type=parse_workers, default=1)
     _option(p, "--segment-size", type=parse_positive, default=DEFAULT_SEGMENT_SIZE)
+    _option(p, "--resume", type=_parse_checkpoint_path, help="checkpoint path; created if missing")
     common(p, _cmd_scan)
 
     p = sub.add_parser("verify", help="run exhaustive verification suites")
@@ -393,12 +360,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _inputs(ns: argparse.Namespace) -> dict[str, str]:
+    """Each parsed argument as a string, in the order the parser added them.
+    ``command``, ``handler`` and ``json`` route the command rather than state
+    its inputs, and an option left unset (None) is not echoed."""
+    return {
+        key: _fraction_str(value) if isinstance(value, Fraction) else str(value)
+        for key, value in vars(ns).items()
+        if key not in ("command", "handler", "json") and value is not None
+    }
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        inputs, result, lines, code = ns.handler(ns)
+        result, lines = ns.handler(ns)
     except _DOMAIN_ERRORS as exc:
         if ns.json:
             print(json.dumps({
@@ -411,14 +389,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if ns.json:
         envelope = {
             "command": ns.command,
-            "inputs": inputs,
+            "inputs": _inputs(ns),
             "result": result,
             "elapsed_ms": int((time.perf_counter() - started) * 1000),
         }
         print(json.dumps(envelope))
     else:
         print("\n".join(lines))
-    return code
+    return 1 if result.get("ok") is False else 0
 
 
 def run() -> None:

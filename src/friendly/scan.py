@@ -102,6 +102,9 @@ class ScanRecord:
 
 
 def _positive(target: Fraction) -> Fraction:
+    if isinstance(target, float):
+        # Fraction(1.8) is the float's binary value, not 9/5.
+        raise ValueError(f"target index must be exact, not the float {target!r}")
     target = Fraction(target)
     if target <= 0:
         raise ValueError("target index must be positive")
@@ -363,18 +366,20 @@ def scan(
     new, is folded into the totals as it arrives, where a second record for
     a segment already done is refused; so besides ``new_records`` the driver
     keeps per segment only its start, once done, and its hits. A bound too
-    high or a segment too wide to sieve, a target <= 0, a negative
-    ``max_segments`` and ``workers`` outside [1, max_workers()] are refused
-    before any file is made.
+    high or a segment too wide to sieve, a float target or one <= 0, a
+    ``max_segments`` that is not a natural number and ``workers`` that is not
+    an integer in [1, max_workers()] are refused before any file is made.
     """
     target = _positive(target)
     sieve.check_height(bound)
     starts = _starts(bound, segment_size)
     sieve.check_width(min(segment_size, bound - 1))
-    if max_segments is not None and max_segments < 0:
-        raise ValueError(f"max_segments must be None or >= 0, got {max_segments}")
-    if not 1 <= workers <= max_workers():
-        raise ValueError(f"workers must be from 1 to {max_workers()} ({WORKERS_PER_CPU} per CPU), got {workers}")
+    if max_segments is not None and not (isinstance(max_segments, int) and max_segments >= 0):
+        raise ValueError(f"max_segments must be None or an integer >= 0, got {max_segments!r}")
+    if not (isinstance(workers, int) and 1 <= workers <= max_workers()):
+        raise ValueError(
+            f"workers must be an integer from 1 to {max_workers()} ({WORKERS_PER_CPU} per CPU), got {workers!r}"
+        )
 
     done: set[int] = set()
     hits: list[int] = []

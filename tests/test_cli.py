@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from friendly import abundancy, arith, cli
+from friendly import abundancy, arith, cli, verify
 from friendly.abundancy import abundancy_index, find_friends
 from friendly.arith import factorize, sigma
 from friendly.cli import parse_natural, validate_envelope
@@ -197,19 +197,33 @@ def test_derive_json_matches_library(run_cli):
     assert doc["result"] == {"residue": str(rc.residue), "modulus": str(rc.modulus)}
 
 
-def test_every_subcommand_envelope_validates(run_cli):
+def test_every_subcommand_envelope_validates(run_cli, tmp_path):
+    # Each call with the exact text of its inputs echo: every parsed argument
+    # as a string, from a flag, a FRIENDLY_* variable or a default alike.
+    checkpoint = str(tmp_path / "cp")
+    scan_defaults = '"workers": "1", "segment_size": "1048576"'
     calls = [
-        ("sigma", "100", "--json"),
-        ("index", "10", "--json"),
-        ("friends", "6", "--bound", "500", "--json"),
-        ("solitary", "7", "--json"),
-        ("check", "--a", "1", "--q-factors", "7^2,11", "--json"),
-        ("derive", "--a", "2", "--json"),
-        ("scan", "--bound", "2000", "--index", "2/1", "--json"),
-        ("verify", "--suite", "bounds", "--json"),
+        (("sigma", "100"), {}, '{"n": "100"}'),
+        (("index", "10"), {}, '{"n": "10"}'),
+        (("friends", "6", "--bound", "500"), {}, '{"n": "6", "bound": "500"}'),
+        (("solitary", "7"), {}, '{"n": "7"}'),
+        (("check", "--a", "1", "--q-factors", "7^2,11"), {}, '{"a": "1", "q_factors": "7^2 * 11"}'),
+        (("check", "--a", "2"), {}, '{"a": "2", "q_factors": "1"}'),
+        (("derive", "--a", "2"), {}, '{"a": "2"}'),
+        (("scan", "--bound", "2000", "--index", "2/1"), {},
+         '{"bound": "2000", "index": "2/1", ' + scan_defaults + "}"),
+        (("scan", "--bound", "2000", "--index", "18/10"), {},
+         '{"bound": "2000", "index": "9/5", ' + scan_defaults + "}"),
+        (("scan", "--bound", "2000", "--index", "2/1", "--resume", checkpoint), {},
+         '{"bound": "2000", "index": "2/1", ' + scan_defaults + ', "resume": ' + json.dumps(checkpoint) + "}"),
+        (("scan", "--bound", "2000", "--index", "2/1"), {"FRIENDLY_WORKERS": "2"},
+         '{"bound": "2000", "index": "2/1", "workers": "2", "segment_size": "1048576"}'),
+        (("verify", "--suite", "bounds"), {}, '{"suite": "bounds"}'),
     ]
-    for call in calls:
-        envelope_of(run_cli(*call))
+    for args, env, inputs in calls:
+        result = run_cli(*args, "--json", env=env)
+        envelope_of(result)
+        assert '"inputs": ' + inputs + ", " in result.stdout, (args, result.stdout)
 
 
 def _set(path, value):
@@ -348,6 +362,27 @@ def test_verify_single_suite(run_cli):
     assert result.returncode == 0
     assert "bounds:" in result.stdout and "0 failures" in result.stdout
     assert result.stdout.rstrip().endswith("overall: PASS")
+
+
+def test_the_exit_status_follows_the_results_ok(monkeypatch, capsys):
+    monkeypatch.delenv("FRIENDLY_JSON", raising=False)
+    bounds = verify._SUITES["bounds"]
+
+    def failing():
+        result = bounds()
+        result.fail("an injected failure")
+        return result
+
+    monkeypatch.setitem(verify._SUITES, "bounds", failing)
+    assert cli.main(["verify", "--suite", "bounds"]) == 1
+    assert capsys.readouterr().out.rstrip().endswith("overall: FAIL")
+    assert cli.main(["verify", "--suite", "bounds", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    validate_envelope(doc)
+    assert doc["result"]["ok"] is False
+    # A rejected candidate is a computed verdict, not a failed command.
+    assert cli.main(["check", "--a", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["survives"] is False
 
 
 def test_verify_rejects_unknown_suite(run_cli):

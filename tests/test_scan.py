@@ -407,6 +407,9 @@ def test_scan_range_rejects_empty_or_bad_ranges():
         scan_range(0, 5, Fraction(2))
     with pytest.raises(ValueError):
         scan_range(1, 10, Fraction(-1, 2))
+    # A float holds its binary value, not the ratio it was written as.
+    with pytest.raises(ValueError, match="float 1.8"):
+        scan_range(1, 10, 1.8)
 
 
 def test_scan_range_hits_carry_the_target_index():
@@ -425,8 +428,9 @@ def test_bound_ending_a_segment_is_scanned():
 
 def test_negative_max_segments_is_refused_before_any_file(tmp_path):
     checkpoint = tmp_path / "cp"
-    with pytest.raises(ValueError, match="max_segments"):
-        scan(1000, Fraction(2), segment_size=100, max_segments=-1, checkpoint_path=checkpoint)
+    for max_segments in (-1, 1.5):
+        with pytest.raises(ValueError, match="max_segments"):
+            scan(1000, Fraction(2), segment_size=100, max_segments=max_segments, checkpoint_path=checkpoint)
     assert list(tmp_path.iterdir()) == []
     # Zero is a valid cap: the run starts and scans nothing.
     outcome = scan(1000, Fraction(2), segment_size=100, max_segments=0, checkpoint_path=checkpoint)
@@ -435,7 +439,7 @@ def test_negative_max_segments_is_refused_before_any_file(tmp_path):
 
 def test_fewer_than_one_worker_is_refused_before_any_file(tmp_path):
     checkpoint = tmp_path / "cp"
-    for workers in (0, -1):
+    for workers in (0, -1, 1.5):
         with pytest.raises(ValueError, match="workers"):
             scan(1000, Fraction(2), workers=workers, checkpoint_path=checkpoint)
     assert list(tmp_path.iterdir()) == []
@@ -481,6 +485,8 @@ def test_scan_refuses_a_wide_segment_or_bad_target_before_any_file(tmp_path):
     for target in (Fraction(-1), Fraction(0)):
         with pytest.raises(ValueError, match="positive"):
             scan(100, target, checkpoint_path=checkpoint)
+    with pytest.raises(ValueError, match="float 1.8"):
+        scan(100, 1.8, checkpoint_path=checkpoint)
     with pytest.raises(ValueError, match="bound must be >= 2"):
         scan(1, Fraction(2), checkpoint_path=checkpoint)
     with pytest.raises(ValueError, match="segment_size must be positive"):
