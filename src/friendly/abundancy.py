@@ -1,8 +1,10 @@
-"""Abundancy-index algebra: exact sigma(n)/n ratios, friends, solitary certificates.
+"""Abundancy-index algebra: exact sigma(n)/n ratios, friend search, solitary certificates.
 
 The index of n is sigma(n)/n as a reduced fraction. Two distinct integers
 sharing an index are friends; an integer with no friend is solitary. Index
-equality is always decided on exact rationals, never floats.
+equality is always decided on exact rationals, never floats. The support
+ceiling prod p/(p-1) is formed where it is used, in friend10's
+``prime_support`` rule.
 """
 
 from __future__ import annotations
@@ -10,16 +12,14 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
-from .arith import Factorization, factorize, is_prime, sigma
+from .arith import Factorization, factorize, sigma
 
 __all__ = [
     "SolitaryVerdict",
     "abundancy_index",
-    "are_friends",
     "find_friends",
-    "index_upper_bound",
     "solitary_certificate",
 ]
 
@@ -33,35 +33,6 @@ def abundancy_index(f: Union[Factorization, int]) -> Fraction:
     if not isinstance(f, Factorization):
         f = factorize(f)  # any integer type, numpy's included
     return Fraction(sigma(f), f.value)
-
-
-def index_upper_bound(primes: Iterable[int]) -> Fraction:
-    """Strict bound prod p/(p-1) on the index of anything with this support."""
-    ps = tuple(primes)
-    if not ps:
-        raise ValueError("prime support must be non-empty")
-    if len(set(ps)) != len(ps):
-        raise ValueError("primes must be distinct")
-    for p in ps:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-    return _support_ceiling(ps)
-
-
-def _support_ceiling(primes: Iterable[int]) -> Fraction:
-    """prod p/(p-1) over primes the caller has already validated, reduced once."""
-    num = den = 1
-    for p in primes:
-        num *= p
-        den *= p - 1
-    return Fraction(num, den)
-
-
-def are_friends(m: int, n: int) -> bool:
-    """Whether m and n are distinct and share an abundancy index."""
-    if m < 1 or n < 1:
-        raise ValueError("friendship is defined on positive integers")
-    return m != n and abundancy_index(m) == abundancy_index(n)
 
 
 def find_friends(n: int, bound: int) -> list[int]:

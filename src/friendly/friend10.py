@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Optional
 
-from .abundancy import _support_ceiling
 from .arith import (
     Factorization,
     crt,
@@ -272,7 +271,11 @@ def _structural(c: Candidate) -> tuple[Verdict, str]:
 def _prime_support(c: Candidate) -> tuple[Verdict, str]:
     """Reject supports whose index ceiling prod p/(p-1) cannot reach 9/5."""
     # The candidate's Factorization already validated its primes.
-    bound = _support_ceiling(c.primes)
+    num = den = 1
+    for p in c.primes:
+        num *= p
+        den *= p - 1
+    bound = Fraction(num, den)
     if bound <= TARGET_INDEX:
         return Verdict.REJECT, f"index ceiling {bound} <= 9/5; no exponents can reach 9/5"
     return Verdict.PASS, f"index ceiling {bound} exceeds 9/5"

@@ -9,9 +9,7 @@ import pytest
 from friendly.abundancy import (
     SolitaryVerdict,
     abundancy_index,
-    are_friends,
     find_friends,
-    index_upper_bound,
     solitary_certificate,
 )
 from friendly.arith import factorize
@@ -59,44 +57,14 @@ def test_index_is_stored_reduced():
 # --- support bound -----------------------------------------------------------
 
 
-def test_index_upper_bound_examples():
-    assert index_upper_bound([5]) == Fraction(5, 4)
-    assert index_upper_bound([5, 7]) == Fraction(35, 24)
-    assert index_upper_bound([2, 3]) == Fraction(3)
-
-
-def test_index_upper_bound_rejects_bad_support():
-    with pytest.raises(ValueError):
-        index_upper_bound([])
-    with pytest.raises(ValueError):
-        index_upper_bound([5, 5])
-    with pytest.raises(ValueError):
-        index_upper_bound([6])
-
-
 def test_index_strictly_below_support_bound():
     for n in range(2, 2001):
-        support = factorize(n).primes
-        assert abundancy_index(n) < index_upper_bound(support), n
+        primes = factorize(n).primes
+        ceiling = Fraction(math.prod(primes), math.prod(p - 1 for p in primes))  # prod p/(p-1)
+        assert abundancy_index(n) < ceiling, n
 
 
 # --- friends -----------------------------------------------------------------
-
-
-def test_are_friends_examples():
-    assert are_friends(6, 28) and are_friends(28, 6)
-    assert not are_friends(6, 10)
-    assert not are_friends(10, 10)
-    assert are_friends(30, 140)
-    with pytest.raises(ValueError, match="positive integers"):
-        are_friends(0, 6)
-
-
-def test_are_friends_symmetric_irreflexive():
-    for m in range(1, 121):
-        assert not are_friends(m, m)
-        for n in range(m + 1, 121):
-            assert are_friends(m, n) == are_friends(n, m)
 
 
 def test_find_friends_examples():

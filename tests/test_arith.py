@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from friendly import arith
-from friendly.abundancy import abundancy_index, are_friends
+from friendly.abundancy import abundancy_index
 from friendly.arith import (
     FactoringBudgetError,
     Factorization,
@@ -229,9 +229,8 @@ def test_factorize_numpy_integer_gives_python_ints():
     assert all(type(x) is int for pair in f.pairs for x in pair)
 
 
-def test_abundancy_index_and_are_friends_take_numpy_integers():
+def test_abundancy_index_takes_numpy_integers():
     assert abundancy_index(np.int64(10)) == Fraction(9, 5)
-    assert are_friends(np.int64(6), np.int64(28)) is True
 
 
 def test_factorize_respects_small_trial_bound(table_limit, monkeypatch):

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from friendly import abundancy, cli
+from friendly import cli, friend10
 from friendly.abundancy import abundancy_index
 from friendly.arith import Factorization, factorize, is_prime, sigma, sigma_prime_power
 from friendly.friend10 import (
@@ -418,6 +418,10 @@ def test_residue_class_validation():
 
 def test_prime_support_examples():
     assert check_rule("prime_support", Candidate(a=1)).verdict is Verdict.REJECT
+    # The detail names prod p/(p-1): 5/4 over {5}, 5/4 * 7/6 = 35/24 over {5, 7}.
+    tail = " <= 9/5; no exponents can reach 9/5"
+    assert check_rule("prime_support", Candidate(a=1)).detail == "index ceiling 5/4" + tail
+    assert check_rule("prime_support", candidate(1, q=7)).detail == "index ceiling 35/24" + tail
     seven_smallest = candidate(1, q=7 * 11 * 13 * 17 * 19 * 23)
     assert check_rule("prime_support", seven_smallest).verdict is Verdict.PASS
     assert Fraction(676039, 331776) > TARGET_INDEX  # the exact ceiling product
@@ -426,22 +430,22 @@ def test_prime_support_examples():
 
 
 def test_prime_support_rule_trusts_the_candidates_primes(monkeypatch):
-    calls = []
-    real = abundancy.is_prime
-    monkeypatch.setattr(abundancy, "is_prime", lambda n, **kw: calls.append(n) or real(n, **kw))
     candidates = [
         candidate(1, q=7 * 11 * 13 * 17 * 19 * 23),
         candidate(1, q=97 * 101 * 103 * 107 * 109 * 113),
         candidate(2, q=7 * 11 * 13 * 17 * 23 * 71),
         candidate(13, exponents=(13,) * 6),
     ]
+    calls = []
+    monkeypatch.setattr(friend10, "is_prime", lambda n, **kw: calls.append(n) or is_prime(n, **kw))
     rule = [filter_chain(c).results[1] for c in candidates]
     assert calls == []
     assert rule == [check_rule("prime_support", c) for c in candidates]
     assert [r.verdict for r in rule] == [Verdict.PASS, Verdict.REJECT, Verdict.PASS, Verdict.PASS]
-    # The ceiling each detail names is the validated one, prod p/(p-1).
+    # The ceiling each detail names is prod p/(p-1) over the candidate's primes.
     for r, c in zip(rule, candidates):
-        assert f"index ceiling {abundancy.index_upper_bound(c.primes)} " in r.detail
+        ceiling = Fraction(math.prod(c.primes), math.prod(p - 1 for p in c.primes))
+        assert f"index ceiling {ceiling} " in r.detail
 
 
 # --- structural rule -----------------------------------------------------------------

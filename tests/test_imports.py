@@ -40,6 +40,29 @@ def test_exact_layer_runs_without_numpy():
     assert result.returncode == 0, result.stderr
 
 
+def test_friend10_imports_only_arith_and_abundancy_keeps_its_four_names():
+    # prime_support forms its own ceiling, so friend10 needs nothing from
+    # abundancy, and abundancy carries no function that only tests call.
+    tree = ast.parse((SRC / "friendly" / "friend10.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    ours = {name for name in imported if name.startswith((".", "friendly"))}
+    assert ours == {".arith"}, ours
+
+    import friendly.abundancy
+
+    assert sorted(friendly.abundancy.__all__) == [
+        "SolitaryVerdict",
+        "abundancy_index",
+        "find_friends",
+        "solitary_certificate",
+    ]
+
+
 def test_cli_import_loads_every_layer():
     # perfbench/rep.py reads these modules from sys.modules after importing the CLI.
     result = run_python(
