@@ -57,6 +57,16 @@ def test_index_is_stored_reduced():
 # --- support bound -----------------------------------------------------------
 
 
+def test_index_upper_bound_examples():
+    # prod p/(p-1) is the supremum of the index over a support: 5/4 over {5},
+    # 5/4 * 7/6 = 35/24 over {5, 7}, 2 * 3/2 = 3 over {2, 3}. With every
+    # exponent k, I(n) falls short of it by the factor prod (1 - p^-(k+1)).
+    for primes, ceiling in (((5,), Fraction(5, 4)), ((5, 7), Fraction(35, 24)), ((2, 3), Fraction(3))):
+        for k in range(1, 8):
+            shortfall = math.prod(1 - Fraction(1, p ** (k + 1)) for p in primes)
+            assert abundancy_index(math.prod(p**k for p in primes)) == ceiling * shortfall, (primes, k)
+
+
 def test_index_strictly_below_support_bound():
     for n in range(2, 2001):
         primes = factorize(n).primes
