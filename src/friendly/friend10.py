@@ -12,6 +12,7 @@ candidate. Every check is exact integer or rational arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -232,6 +233,7 @@ def am_gm_sigma_bound(p: int, a: int) -> bool:
     return sigma_prime_power(p, 2 * a) > (2 * a + 1) * p ** a
 
 
+@lru_cache(maxsize=None)
 def derive_residue_class(a: int) -> ResidueClass:
     """The residue class every friend of 10 with this a must land in.
 
@@ -270,13 +272,16 @@ def _structural(c: Candidate) -> tuple[Verdict, str]:
 
 def _prime_support(c: Candidate) -> tuple[Verdict, str]:
     """Reject supports whose index ceiling prod p/(p-1) cannot reach 9/5."""
-    # The candidate's Factorization already validated its primes.
-    num = den = 1
-    for p in c.primes:
+    # The candidate's Factorization already validated its primes, and 5 is
+    # always among them.
+    num, den = 5, 4
+    for p, _ in c.q_factorization.pairs:
         num *= p
         den *= p - 1
-    bound = Fraction(num, den)
-    if bound <= TARGET_INDEX:
+    # num is odd and 4 divides den, so the reduced ceiling is never whole.
+    g = math.gcd(num, den)
+    bound = f"{num // g}/{den // g}"
+    if num * TARGET_INDEX.denominator <= den * TARGET_INDEX.numerator:
         return Verdict.REJECT, f"index ceiling {bound} <= 9/5; no exponents can reach 9/5"
     return Verdict.PASS, f"index ceiling {bound} exceeds 9/5"
 
@@ -290,9 +295,12 @@ def _exponent_pattern(c: Candidate, residue: int, modulus: int) -> tuple[Verdict
     13 mod 27, it is implied by the mod-3 rule (13 ≡ 1 mod 3) but kept as an
     independent cross-check of the coarser filter.
     """
-    for i, e in enumerate(c.half_exponents):
+    # a_1 is a; a_2, a_3, ... are Q's exponents.
+    if c.a % modulus != residue:
+        return Verdict.PASS, f"a_1 = {c.a} is not {residue} mod {modulus}"
+    for i, (_, e) in enumerate(c.q_factorization.pairs, start=2):
         if e % modulus != residue:
-            return Verdict.PASS, f"a_{i + 1} = {e} is not {residue} mod {modulus}"
+            return Verdict.PASS, f"a_{i} = {e} is not {residue} mod {modulus}"
     return Verdict.REJECT, f"every half-exponent is {residue} mod {modulus}"
 
 

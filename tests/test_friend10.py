@@ -554,6 +554,55 @@ def test_shared_skipped_results_equal_fresh_ones():
     assert seen == set(CHAIN) - {"exponent_mod27", "mod8_sum"}
 
 
+def perfbench_like_sample(count):
+    """Candidates drawn as the benchmark draws them: a from 1 to 12, 6 to 10
+    of the 16 primes >= 7, exponents from 1 to 6."""
+    rng = random.Random(7)
+    pool = [p for p in range(7, 71) if is_prime(p)]
+    assert len(pool) == 16
+    for _ in range(count):
+        primes = sorted(rng.sample(pool, rng.randint(6, 10)))
+        pairs = tuple((p, rng.randint(1, 6)) for p in primes)
+        yield Candidate(rng.randint(1, 12), Factorization(pairs))
+
+
+def reference_rule(name, c):
+    """prime_support and the exponent rules as a Fraction and the
+    half-exponents give them, or None for another rule."""
+    if name == "prime_support":
+        bound = Fraction(math.prod(c.primes), math.prod(p - 1 for p in c.primes))
+        if bound <= TARGET_INDEX:
+            return Verdict.REJECT, f"index ceiling {bound} <= 9/5; no exponents can reach 9/5"
+        return Verdict.PASS, f"index ceiling {bound} exceeds 9/5"
+    if name in ("exponent_mod3", "exponent_mod27"):
+        residue, modulus = (1, 3) if name == "exponent_mod3" else (13, 27)
+        for i, e in enumerate(c.half_exponents, start=1):
+            if e % modulus != residue:
+                return Verdict.PASS, f"a_{i} = {e} is not {residue} mod {modulus}"
+        return Verdict.REJECT, f"every half-exponent is {residue} mod {modulus}"
+    return None
+
+
+def test_chain_matches_reference_rules_on_a_perfbench_like_sample():
+    reached = set()
+    for c in perfbench_like_sample(2000):
+        for r in filter_chain(c).results:
+            if r.detail == "skipped after earlier rejection":
+                break
+            assert check_rule(r.rule, c) == r, (c.label, r.rule)
+            want = reference_rule(r.rule, c)
+            assert want is None or (r.verdict, r.detail) == want, (c.label, r.rule)
+            reached.add((r.rule, r.verdict))
+    assert {("prime_support", Verdict.PASS), ("prime_support", Verdict.REJECT)} <= reached
+    assert {("exponent_mod3", Verdict.PASS), ("residue_class", Verdict.REJECT)} <= reached
+
+
+def test_cached_residue_classes_equal_fresh_ones():
+    cached = [derive_residue_class(a) for a in range(1, 13)]
+    derive_residue_class.cache_clear()
+    assert [derive_residue_class(a) for a in range(1, 13)] == cached
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_check_output_is_the_same_with_fresh_skipped_results(monkeypatch, capsys, json_flag):
     monkeypatch.delenv("FRIENDLY_JSON", raising=False)

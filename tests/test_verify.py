@@ -1,6 +1,8 @@
 """The verify suites: fixed check counts, and failures reported, not hidden."""
 
 import math
+import operator
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -86,6 +88,29 @@ def test_prime_replacement_reports_an_injected_fault_as_a_naive_loop_does(monkey
     assert every_note == notes
 
 
+@pytest.mark.parametrize("bits", [7, 10])
+def test_packed_comparison_agrees_with_fieldwise_comparison(bits):
+    rng = random.Random(bits)
+    top = (1 << (bits - 1)) - 1  # 63 for 7 bits, 511 for 10
+    for _ in range(3000):
+        fields = rng.randint(1, 27)
+        a = [rng.choice((0, top, rng.randint(0, top))) for _ in range(fields)]
+        # Equal fields, fields at the top value and zeros, often.
+        b = [rng.choice((x, x, top, 0, rng.randint(0, top))) for x in a]
+        guard = verify._guard(fields, bits)
+        pa, pb = verify._pack(a, bits), verify._pack(b, bits)
+        assert verify._covers(pb, pa, guard) == all(map(operator.le, a, b)), (a, b)
+        assert (not verify._covers(pa, pb, guard)) == any(map(operator.lt, a, b)), (a, b)
+
+
+def test_pack_refuses_a_value_at_or_above_its_guard_bit():
+    assert verify._pack([63, 0, 5], 7) == 63 | 5 << 14
+    assert verify._pack([511, 1], 10) == 511 | 1 << 10
+    for values, bits in (([64], 7), ([7, 97], 7), ([512], 10), ([0, 1023], 10), ([-1], 10)):
+        with pytest.raises(ValueError, match="guard bit"):
+            verify._pack(values, bits)
+
+
 def test_prop22_reports_an_injected_fault(monkeypatch):
     real = verify.sigma5_mod8
     monkeypatch.setattr(verify, "sigma5_mod8", lambda a: 5 if a == 9999 else real(a))
@@ -94,6 +119,17 @@ def test_prop22_reports_an_injected_fault(monkeypatch):
         10_000,
         1,
         ("a=9999: classifier 5 != direct 3",),
+    )
+
+
+def test_mod8_reports_a_hypothesis_that_never_holds(monkeypatch):
+    # sigma(Q^2) ≡ 0 (mod 8) makes every product ≡ 0, never 5.
+    monkeypatch.setattr(verify, "_sigma_of_square", lambda q: 8 * q)
+    result = verify.verify_mod8()
+    assert (result.checks, result.failures, result.notes) == (
+        0,
+        1,
+        ("hypothesis never held; the skeleton test is vacuous",),
     )
 
 
